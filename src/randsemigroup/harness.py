@@ -189,13 +189,15 @@ class SweepRow:
 
 
 def _check_pointwise(inv: SemigroupInvariants) -> None:
-    # Cross-checks that hold for every cofinite semigroup; a failure here
+    # e <= m <= F + 1 and (F + 1)/2 <= g <= F hold for every cofinite semigroup
+    # (Rosales & Garcia-Sanchez, Numerical Semigroups, 2009); a failure here
     # means the computation itself broke (CLI maps this to exit code 3).
     f, g, e = inv.frobenius, inv.genus, inv.embedding_dimension
+    m = inv.minimal_generators.elements[0]
     if f == -1:
-        ok = g == 0 and e == 1
+        ok = g == 0 and e == 1 and m == 1
     else:
-        ok = 1 <= g <= f + 1 and e <= 2 * f + 2
+        ok = e <= m <= f + 1 and f + 1 <= 2 * g and g <= f
     if not ok:
         raise InternalInvariantError(
             f"invariant violation: F={f} g={g} e={e} gens={inv.minimal_generators.elements}"
@@ -231,7 +233,10 @@ def resolve_workers(workers: Optional[int] = None) -> int:
     """Explicit argument, else RANDSEMIGROUP_WORKERS, else all cores."""
     if workers is None:
         env = os.environ.get(WORKERS_ENV_VAR)
-        workers = int(env) if env else (os.cpu_count() or 1)
+        try:
+            workers = int(env) if env else (os.cpu_count() or 1)
+        except ValueError:
+            raise ValueError(f"{WORKERS_ENV_VAR} must be an integer, got {env!r}") from None
     if workers < 1:
         raise ValueError(f"worker count must be >= 1, got {workers}")
     return workers

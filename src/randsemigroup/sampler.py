@@ -12,9 +12,9 @@ examining n) such that the set selected so far has gcd 1 and Frobenius
 number < n.  From that point on, every unexamined integer is already a
 member of the generated semigroup, so no later selection could change the
 semigroup or any invariant; the returned generators determine everything.
-The Frobenius number is recomputed only when a newly selected element can
-actually change it (when gcd first reaches 1, or when the element is <=
-the current value).
+The sampler keeps the residue-class minima modulo its first selected
+integer m and folds in each later one with ``extend_minima``, so the
+Frobenius number is max(minima) - m: infinite until the gcd reaches 1.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass
 
 from .rng import TAG_SAMPLE, substream
-from .semigroup import GeneratorSet, frobenius
+from .semigroup import GeneratorSet, extend_minima
 
 
 @dataclass(frozen=True)
@@ -69,17 +69,12 @@ def sample_bounded(config: ErConfig, trial_index: int) -> GeneratorSet:
     return GeneratorSet(tuple(selected), g)
 
 
-def sample_unconstrained(
-    p: float,
-    master_seed: int,
-    trial_index: int,
-    iteration_cap: int = 2**32,
-) -> SampleTrace:
+def sample_unconstrained(p: float, master_seed: int, trial_index: int) -> SampleTrace:
     """One draw from the unconstrained model; terminates with probability 1."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie strictly in (0, 1), got {p}")
     rng = substream(master_seed, TAG_SAMPLE, trial_index)
-    return _sample_unconstrained_from(rng, p, iteration_cap)
+    return _sample_unconstrained_from(rng, p, 2**32)
 
 
 def _sample_unconstrained_from(
@@ -87,23 +82,24 @@ def _sample_unconstrained_from(
 ) -> SampleTrace:
     # Split out so tests can feed scripted streams to the stopping rule.
     selected: list[int] = []
-    g = 0
-    frob: int | None = None
+    minima: list = []
+    frob = math.inf
     n = 0
     while True:
         n += 1
-        if g == 1 and frob is not None and frob < n:
+        if frob < n:
             return SampleTrace(GeneratorSet(tuple(selected), 1), n, n - 1)
         if n > iteration_cap:
             raise RuntimeError(
                 f"stopping rule not reached within {iteration_cap} integers "
-                f"(p={p}, selected {len(selected)} generators, gcd={g}); "
+                f"(p={p}, selected {len(selected)} generators, "
+                f"gcd={math.gcd(*selected)}); "
                 "seed/trial combination appears pathological"
             )
         if rng.random() < p:
             selected.append(n)
-            g = math.gcd(g, n)
-            # New elements above the Frobenius number are already members
-            # and cannot change the semigroup; skip the recomputation.
-            if g == 1 and (frob is None or n <= frob):
-                frob = frobenius(GeneratorSet(tuple(selected), 1))
+            if minima:
+                extend_minima(minima, n)
+            else:
+                minima = [0] + [math.inf] * (n - 1)
+            frob = max(minima) - selected[0]

@@ -17,15 +17,16 @@ element of <A> congruent to i mod m.  Then
 
     F = max(entries) - m          and         g = sum_i floor(entries[i] / m),
 
-and the table is computed as single-source shortest paths on Z_m (edge
-i -> (i + a) mod m with weight a for each generator a), never by scanning
-an interval of integers.  Membership tables over a bounded range are kept
-bit-packed: bit x of an int is the membership of x.
+and x >= 0 is a member exactly when x >= entries[x mod m].  One kernel,
+``extend_minima``, builds every such table: it folds one generator into
+the minima in a single O(m) round-robin pass, so batch tables and the
+sampler's incremental table are the same code, and no interval of
+integers is ever scanned.  ``membership_table`` is the independent
+bit-packed scan kept as a test oracle.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -124,15 +125,45 @@ class AperyTable:
     entries: tuple[int, ...]
 
 
+def extend_minima(entries: list, a: int) -> None:
+    """Fold generator a into the residue-class minima mod m = len(entries).
+
+    In place; unreached classes hold math.inf.  Round-robin update of
+    Böcker & Lipták (Algorithmica 2007): adding a links the classes into
+    gcd(a mod m, m) cycles i -> (i + a) mod m.  Walking each cycle once from
+    its current minimum, new = min(old, previous + a) settles every class,
+    since nothing can improve the cycle's minimum itself.  Returns at once
+    when a is already a member.
+    """
+    m = len(entries)
+    r = a % m
+    if a >= entries[r]:
+        return
+    d = math.gcd(r, m)
+    for c in range(d):
+        cycle = entries[c::d]
+        best = min(cycle)
+        if best == math.inf:
+            continue  # no class of this cycle is reached yet
+        i = c + d * cycle.index(best)
+        for _ in range(m // d - 1):
+            i += r
+            if i >= m:
+                i -= m
+            best += a
+            e = entries[i]
+            if e < best:
+                best = e
+            else:
+                entries[i] = best
+
+
 def apery_set(gens: GeneratorSet, m: int) -> AperyTable:
-    """Class minima via Dijkstra on Z_m.
+    """Class minima mod m, folding each generator into the table of <m>.
 
     Requires gcd(gens + {m}) = 1 (otherwise some class is unreachable and
     NotCofiniteError is raised) and m in <A> (otherwise the minima would
     not coincide with {x in <A> : x - m not in <A>}; ValueError).
-    Generators are reduced mod m only to form edge targets; weights stay
-    the original values.  Per residue class only the smallest generator
-    matters, so larger ones are dropped up front.
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
@@ -143,74 +174,36 @@ def apery_set(gens: GeneratorSet, m: int) -> AperyTable:
         )
     if m not in gens.elements and not membership_table(gens, m)[m]:
         raise ValueError(f"m = {m} is not an element of the semigroup")
-
-    weight: dict[int, int] = {}
+    entries = [0] + [math.inf] * (m - 1)
     for a in gens.elements:
-        r = a % m
-        if r == 0:
-            continue  # multiples of m never improve a class minimum
-        if r not in weight or a < weight[r]:
-            weight[r] = a
-    edges = sorted(weight.items())
-
-    inf = float("inf")
-    dist: list[float] = [inf] * m
-    dist[0] = 0
-    heap: list[tuple[int, int]] = [(0, 0)]
-    while heap:
-        d, v = heapq.heappop(heap)
-        if d > dist[v]:
-            continue
-        for r, a in edges:
-            u = v + r
-            if u >= m:
-                u -= m
-            nd = d + a
-            if nd < dist[u]:
-                dist[u] = nd
-                heapq.heappush(heap, (nd, u))
-    return AperyTable(m, tuple(int(d) for d in dist))
+        extend_minima(entries, a)
+    return AperyTable(m, tuple(entries))
 
 
-def _require_cofinite(gens: GeneratorSet) -> None:
+def _residue_table(gens: GeneratorSet) -> AperyTable:
+    """Residue table modulo the least generator; needs gcd 1."""
     if gens.gcd != 1:
         raise NotCofiniteError(
             f"gcd of generators is {gens.gcd}; invariants need gcd 1"
         )
+    return apery_set(gens, gens.elements[0])
 
 
 def frobenius(gens: GeneratorSet) -> int:
     """Largest integer outside <A>; -1 when <A> = N (gap-free convention)."""
-    _require_cofinite(gens)
-    m = gens.elements[0]
-    table = apery_set(gens, m)
-    return max(table.entries) - m
+    table = _residue_table(gens)
+    return max(table.entries) - table.m
 
 
 def genus(gens: GeneratorSet) -> int:
     """Number of positive integers outside <A>."""
-    _require_cofinite(gens)
-    m = gens.elements[0]
-    table = apery_set(gens, m)
-    return sum(e // m for e in table.entries)
+    table = _residue_table(gens)
+    return sum(e // table.m for e in table.entries)
 
 
 def minimal_generators(gens: GeneratorSet) -> GeneratorSet:
-    """The unique minimal generating set of <A>.
-
-    An element a is minimal iff it is not x + y with x, y nonzero members;
-    it suffices to test a - g for generators g < a, since any nonzero
-    member contains some generator as a summand.
-    """
-    _require_cofinite(gens)
-    table = membership_table(gens, gens.elements[-1])
-    bits = table.bits
-    minimal = tuple(
-        a
-        for a in gens.elements
-        if not any(g < a and (bits >> (a - g)) & 1 for g in gens.elements)
-    )
-    return GeneratorSet(minimal, math.gcd(*minimal))
+    """The unique minimal generating set of <A>."""
+    return invariants(gens).minimal_generators
 
 
 @dataclass(frozen=True)
@@ -222,19 +215,22 @@ class SemigroupInvariants:
 
 
 def invariants(gens: GeneratorSet) -> SemigroupInvariants:
-    """Frobenius number, genus, and embedding dimension in one pass.
+    """Frobenius number, genus, and minimal generators from one table.
 
-    One residue-minima table (for the smallest generator) yields F and g;
-    the minimal generating set comes from a membership table up to the
-    largest generator.
+    A generator a is minimal iff it is not x + y with x, y nonzero members;
+    it suffices to test whether a - g is a member for generators g < a,
+    since any nonzero member contains some generator as a summand.
     """
-    _require_cofinite(gens)
-    m = gens.elements[0]
-    table = apery_set(gens, m)
-    frob = max(table.entries) - m
-    gen_count = sum(e // m for e in table.entries)
-    minimal = minimal_generators(gens)
-    return SemigroupInvariants(frob, gen_count, len(minimal), minimal)
+    table = _residue_table(gens)
+    m, w = table.m, table.entries
+    minimal = tuple(
+        a
+        for a in gens.elements
+        if not any(g < a and a - g >= w[(a - g) % m] for g in gens.elements)
+    )
+    return SemigroupInvariants(
+        max(w) - m, sum(e // m for e in w), len(minimal), GeneratorSet(minimal, 1)
+    )
 
 
 @dataclass(frozen=True)

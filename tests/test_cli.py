@@ -180,6 +180,15 @@ def test_internal_invariant_failure_maps_to_exit_3(monkeypatch, capsys):
     assert err.startswith("internal invariant violation:")
 
 
+def test_non_integer_worker_setting_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("RANDSEMIGROUP_WORKERS", "abc")
+    code, out, err = run_cli(
+        capsys, "sweep", "--p-list", "0.4", "--trials", "1", "--seed", "0"
+    )
+    assert code == 2 and out == ""
+    assert err == "error: RANDSEMIGROUP_WORKERS must be an integer, got 'abc'\n"
+
+
 def test_missing_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main([])

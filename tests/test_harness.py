@@ -175,6 +175,23 @@ def test_pointwise_checker_rejects_corrupt_invariants():
         _check_pointwise(bad_nat)
 
 
+@pytest.mark.parametrize(
+    "frob, gen_count, emb, minimal",
+    [
+        (7, 4, 4, (3, 5)),  # e > m
+        (1, 1, 2, (3, 5)),  # m > F + 1
+        (7, 3, 2, (3, 5)),  # g < (F + 1) / 2
+        (7, 8, 2, (3, 5)),  # g > F
+        (-1, 0, 1, (2,)),  # gap-free yet m != 1
+    ],
+)
+def test_pointwise_checker_enforces_textbook_bounds(frob, gen_count, emb, minimal):
+    _check_pointwise(SemigroupInvariants(7, 4, 2, GeneratorSet((3, 5), 1)))
+    forged = SemigroupInvariants(frob, gen_count, emb, GeneratorSet(minimal, 1))
+    with pytest.raises(InternalInvariantError):
+        _check_pointwise(forged)
+
+
 def test_prime_window_contents():
     f, n_max, primes = _prime_window(0.1)
     assert abs(f - 53.019) < 1e-2

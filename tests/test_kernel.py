@@ -1,0 +1,120 @@
+"""Property tests of the residue-table kernel against brute-force oracles.
+
+The oracles read only ``membership_table``, the bit-packed closure scan,
+never a residue table: class minima are the least member of each class,
+Frobenius numbers the largest zero bit below a Schur bound.
+"""
+
+import math
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
+
+from randsemigroup import (  # noqa: E402
+    apery_set,
+    membership_table,
+    minimal_generators,
+    normalize_generators,
+    sample_unconstrained,
+)
+from randsemigroup.semigroup import extend_minima  # noqa: E402
+
+elements = st.lists(st.integers(1, 60), min_size=1, max_size=6)
+cofinite = elements.filter(lambda els: math.gcd(*els) == 1)
+
+
+def brute_minima(m, els):
+    """Least member of <m, els> in each class mod m; inf when unreached."""
+    limit = m * max([m, *els])  # a class minimum needs fewer than m summands
+    bits = membership_table(normalize_generators([m, *els]), limit).bits
+    minima = [math.inf] * m
+    for x in range(limit, -1, -1):
+        if (bits >> x) & 1:
+            minima[x % m] = x
+    return minima
+
+
+def brute_frobenius(els):
+    """Largest non-member of <els> (gcd 1), or -1; inf when gcd > 1."""
+    if math.gcd(*els) != 1:
+        return math.inf
+    limit = min(els) * max(els)  # Schur: F < (min - 1)(max - 1)
+    bits = membership_table(normalize_generators(els), limit).bits
+    gaps = ~bits & ((1 << (limit + 1)) - 1)
+    return gaps.bit_length() - 1
+
+
+def fold(m, els):
+    entries = [0] + [math.inf] * (m - 1)
+    for a in els:
+        extend_minima(entries, a)
+    return entries
+
+
+@settings(max_examples=150, deadline=None)
+@given(cofinite, st.data())
+def test_fold_in_any_order_equals_apery_set(els, data):
+    gens = normalize_generators(els)
+    m = data.draw(st.sampled_from(gens.elements))
+    order = data.draw(st.permutations(els))
+    assert tuple(fold(m, order)) == apery_set(gens, m).entries
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 36), elements)
+@example(6, [4, 3])  # gcd(4, 6) = 2: two cycles, one still unreached
+@example(12, [8, 9, 10, 30])
+def test_each_fold_matches_brute_minima(m, els):
+    # Covers updates with gcd(a mod m, m) > 1 and the inf entries of classes
+    # that stay unreached until the gcd of <m, ...> drops to 1.
+    entries = [0] + [math.inf] * (m - 1)
+    for k, a in enumerate(els):
+        extend_minima(entries, a)
+        assert entries == brute_minima(m, els[: k + 1])
+
+
+def test_fold_frozen_example_with_unreached_classes():
+    inf = math.inf
+    assert fold(6, [4]) == [0, inf, 8, inf, 4, inf]
+    assert fold(6, [4, 3]) == [0, 7, 8, 3, 4, 11]
+
+
+@settings(max_examples=100, deadline=None)
+@given(cofinite, st.data())
+def test_extending_by_a_member_changes_nothing(els, data):
+    gens = normalize_generators(els)
+    m = gens.elements[0]
+    entries = list(apery_set(gens, m).entries)
+    i = data.draw(st.integers(0, m - 1))
+    member = entries[i] + m * data.draw(st.integers(0, 5))
+    extend_minima(entries, member)
+    assert tuple(entries) == apery_set(gens, m).entries
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.05, 0.6), st.integers(0, 2**32), st.integers(0, 50))
+def test_sampler_frobenius_matches_gap_scan(p, seed, trial):
+    # The sampler stops at the first n with F < n, where F only changes at
+    # a keep, so the stop index pins the Frobenius number after the last
+    # keep L: stop_index = max(L, F) + 1, and F before L was >= L.
+    trace = sample_unconstrained(p, seed, trial)
+    els = list(trace.gens.elements)
+    last = els[-1]
+    assert trace.stop_index == max(last, brute_frobenius(els)) + 1
+    if len(els) > 1:
+        assert brute_frobenius(els[:-1]) >= last
+
+
+@settings(max_examples=150, deadline=None)
+@given(cofinite)
+def test_minimal_generators_match_bitset_definition(els):
+    gens = normalize_generators(els)
+    bits = membership_table(gens, gens.elements[-1]).bits
+    expected = tuple(
+        a
+        for a in gens.elements
+        if not any(g < a and (bits >> (a - g)) & 1 for g in gens.elements)
+    )
+    assert minimal_generators(gens).elements == expected

@@ -1,6 +1,6 @@
 """Core semigroup computations checked against independent brute-force oracles.
 
-The oracles never touch the bitset or shortest-path code paths: membership
+The oracles never touch the bitset or residue-table code paths: membership
 comes from a BFS closure over sums, residue-class minima from scanning that
 closure, and the gap invariants from the closure's complement.
 """
@@ -227,11 +227,12 @@ def test_invariants_pointwise_relations():
         els = random_cofinite_elements(rng, 80)
         inv = invariants(normalize_generators(els))
         f, g, e = inv.frobenius, inv.genus, inv.embedding_dimension
+        m = inv.minimal_generators.elements[0]
         if f == -1:
-            assert g == 0 and e == 1
+            assert g == 0 and e == 1 and m == 1
         else:
-            assert 1 <= g <= f + 1
-            assert e <= 2 * f + 2  # loose envelope; tight bound is 2F for F >= 1
+            assert e <= m <= f + 1
+            assert (f + 1) / 2 <= g <= f
         assert e == len(inv.minimal_generators)
 
 
