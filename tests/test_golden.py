@@ -3,7 +3,8 @@
 Each file under tests/golden/ holds the exact stdout of one CLI invocation,
 recorded once and never rewritten to make a test pass.  Rerun equality alone
 would not notice a change in how the random streams are consumed; these
-bytes do.  The events run reaches stage d3 on one of its three trials.
+bytes do.  The events run reaches stage d3 on one of its three trials, and
+the partial sumset run fails to cover Z_q on 31 of its 40 trials.
 """
 
 from pathlib import Path
@@ -23,6 +24,7 @@ GOLDEN = {
     "sweep_auto.csv": ["sweep", "--M", "auto", "--p-list", "0.3,0.1", "--trials", "40", "--seed", "5"],
     "events_d3.txt": ["events", "--p", "0.005", "--trials", "3", "--seed", "0"],
     "sumset.txt": ["sumset", "--q", "101", "--b", "3", "--trials", "20", "--seed", "7"],
+    "sumset_partial.txt": ["sumset", "--q", "101", "--b", "0.6", "--trials", "40", "--seed", "7"],
     "invariants.txt": ["invariants", "--gens", "6,9,20"],
 }
 
