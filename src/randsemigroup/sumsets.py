@@ -1,7 +1,11 @@
 """k-fold sumsets of subsets of Z_q, subset-sum counts, and coverage trials.
 
 Subsets of Z_q are bit-packed (bit r set iff residue r is a member), so a
-sumset step is a handful of big-int shifts and ORs.  The coverage
+sumset step S + A ORs the shifts S << a for a in A into one wide integer and
+wraps it mod q once.  The k-fold sumset folds S <- S + A, k - 1 times, and
+stops as soon as S is all of Z_q, which is exact because Z_q + A = Z_q for
+nonempty A.  For prime q, Cauchy-Davenport (|S + A| >= min(q, |S| + |A| - 1))
+bounds the steps by ceil((q - |A|) / (|A| - 1)) when |A| >= 2.  The coverage
 experiment draws a uniform random s-subset A of Z_q with s = 2*ceil(b*log2 q)
 and asks whether the k-fold sumset of A with k = ceil(b*log2 q) is all of
 Z_q; the probability that it is not is at most
@@ -85,7 +89,13 @@ class CyclicSubset:
         return cls(q, (1 << q) - 1)
 
     def elements(self) -> tuple[int, ...]:
-        return tuple(r for r in range(self.q) if (self.bits >> r) & 1)
+        digits = bin(self.bits)[:1:-1]  # digits[r] is bit r
+        members = []
+        r = digits.find("1")
+        while r >= 0:
+            members.append(r)
+            r = digits.find("1", r + 1)
+        return tuple(members)
 
     def __contains__(self, r: int) -> bool:
         return 0 <= r < self.q and bool((self.bits >> r) & 1)
@@ -99,12 +109,12 @@ class CyclicSubset:
         return self.bits == (1 << self.q) - 1
 
 
-def _cyclic_shift(bits: int, y: int, q: int) -> int:
-    y %= q
-    if y == 0:
-        return bits
-    mask = (1 << q) - 1
-    return ((bits << y) | (bits >> (q - y))) & mask
+def _shift_or(bits: int, shifts: Iterable[int], q: int) -> int:
+    """OR of the cyclic shifts of bits (< 2^q) by each e in shifts (0 <= e < q)."""
+    wide = 0
+    for e in shifts:
+        wide |= bits << e
+    return (wide & ((1 << q) - 1)) | (wide >> q)
 
 
 def add_sets(x: CyclicSubset, y: CyclicSubset) -> CyclicSubset:
@@ -118,28 +128,30 @@ def add_sets(x: CyclicSubset, y: CyclicSubset) -> CyclicSubset:
         return CyclicSubset.full(q)
     if x.size > y.size:  # shift the larger set by members of the smaller
         x, y = y, x
-    acc = 0
-    for e in x.elements():
-        acc |= _cyclic_shift(y.bits, e, q)
-    return CyclicSubset(q, acc)
+    return CyclicSubset(q, _shift_or(y.bits, x.elements(), q))
 
 
 def k_fold_sumset(a: CyclicSubset, k: int) -> CyclicSubset:
-    """A + A + ... + A (k summands, repetition allowed), by binary powering."""
+    """A + A + ... + A (k summands, repetition allowed).
+
+    Folds acc <- acc + A up to k - 1 times and stops once acc is all of Z_q,
+    which every further summand keeps.  For prime q and |A| >= 2 each step
+    grows acc by at least |A| - 1 (Cauchy-Davenport), so at most
+    ceil((q - |A|) / (|A| - 1)) steps run whatever k is.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     if a.bits == 0:
         raise ValueError("k-fold sumset of the empty set is undefined")
-    result: CyclicSubset | None = None
-    base = a
-    while k:
-        if k & 1:
-            result = base if result is None else add_sets(result, base)
-        k >>= 1
-        if k:
-            base = add_sets(base, base)
-    assert result is not None
-    return result
+    q = a.q
+    full = (1 << q) - 1
+    shifts = a.elements()
+    acc = a.bits
+    for _ in range(k - 1):
+        if acc == full:
+            break
+        acc = _shift_or(acc, shifts, q)
+    return CyclicSubset(q, acc)
 
 
 def k_distinct_sumset(a: CyclicSubset, k: int) -> CyclicSubset:
@@ -152,7 +164,7 @@ def k_distinct_sumset(a: CyclicSubset, k: int) -> CyclicSubset:
     for e in a.elements():
         for c in range(k, 0, -1):
             if layers[c - 1]:
-                layers[c] |= _cyclic_shift(layers[c - 1], e, a.q)
+                layers[c] |= _shift_or(layers[c - 1], (e,), a.q)
     return CyclicSubset(a.q, layers[k])
 
 
@@ -189,26 +201,34 @@ def coverage_failure_bound(q: int, b: float) -> float:
     return (2 * b * math.log2(q) + 3) / q ** (b - 2)
 
 
+def _summands(q: int, b: float) -> int:
+    """k = ceil(b*log2 q) for prime q and finite b > 0 with s = 2k <= q."""
+    if not is_prime(q):
+        raise ValueError(f"q = {q} must be prime")
+    if not (math.isfinite(b) and b > 0):
+        raise ValueError(f"b must be finite and > 0, got {b}")
+    k = math.ceil(min(b * math.log2(q), q))  # min: b*log2 q may overflow to inf
+    if 2 * k > q:
+        raise ValueError(f"subset size 2*ceil(b*log2 q) exceeds q = {q} at b = {b}")
+    return k
+
+
 def coverage_trial(q: int, b: float, master_seed: int, trial_index: int) -> bool:
     """One coverage draw: uniform s-subset A, true iff k*A covers Z_q.
 
     s = 2*ceil(b*log2 q) and k = ceil(b*log2 q) (ceilings throughout).
-    The subset comes from a partial Fisher-Yates shuffle on the trial's
-    substream, so each trial is reproducible in isolation.
+    The subset comes from a partial Fisher-Yates shuffle of range(q) on the
+    trial's substream, so each trial is reproducible in isolation.
     """
-    if not is_prime(q):
-        raise ValueError(f"q = {q} must be prime")
-    k = math.ceil(b * math.log2(q))
-    s = 2 * k
-    if s > q:
-        raise ValueError(f"subset size 2*ceil(b*log2 q) = {s} exceeds q = {q}")
+    k = _summands(q, b)
     rng = substream(master_seed, TAG_COVERAGE, trial_index)
-    pool = list(range(q))
-    for i in range(s):
+    displaced: dict[int, int] = {}  # pool[j] for each slot a swap has changed
+    bits = 0
+    for i in range(2 * k):
         j = i + randbelow(rng, q - i)
-        pool[i], pool[j] = pool[j], pool[i]
-    a = CyclicSubset.from_elements(q, pool[:s])
-    return k_fold_sumset(a, k).is_full
+        bits |= 1 << displaced.get(j, j)  # the swap puts pool[j] at slot i
+        displaced[j] = displaced.get(i, i)
+    return k_fold_sumset(CyclicSubset(q, bits), k).is_full
 
 
 @dataclass(frozen=True)
@@ -234,7 +254,7 @@ def run_coverage_experiment(
     """Repeated coverage trials; failures counts non-covering draws."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    k = math.ceil(b * math.log2(q))
+    k = _summands(q, b)
     failures = sum(
         0 if coverage_trial(q, b, master_seed, t) else 1 for t in range(trials)
     )

@@ -78,6 +78,23 @@ def test_sumset_rejects_composite_modulus(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("b", ["inf", "nan", "0", "-1"])
+def test_sumset_rejects_bad_b(capsys, b):
+    code, out, err = run_cli(
+        capsys, "sumset", "--q", "101", "--b", b, "--trials", "1", "--seed", "0"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: b must be finite and > 0, got ")
+
+
+def test_sumset_rejects_b_too_large_for_q(capsys):
+    code, out, err = run_cli(
+        capsys, "sumset", "--q", "101", "--b", "1e308", "--trials", "1", "--seed", "0"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: subset size") and "exceeds q" in err
+
+
 def test_sumset_rejects_oversized_modulus():
     with pytest.raises(SystemExit) as exc:
         main(["sumset", "--q", str((1 << 24) + 1), "--trials", "1", "--seed", "0"])

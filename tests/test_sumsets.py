@@ -187,6 +187,11 @@ def test_coverage_trial_determinism_and_errors():
         coverage_trial(13, 3, 1, 0)  # s = 2*ceil(3 log2 13) = 24 > 13
     with pytest.raises(ValueError, match="prime"):
         coverage_trial(100, 3, 1, 0)
+    for bad_b in (math.inf, math.nan, 0, -1.0):
+        with pytest.raises(ValueError, match="b must be finite and > 0"):
+            coverage_trial(101, bad_b, 1, 0)
+        with pytest.raises(ValueError, match="b must be finite and > 0"):
+            run_coverage_experiment(101, bad_b, 3, 1)
 
 
 def test_full_set_always_covers():
