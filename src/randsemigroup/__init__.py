@@ -15,7 +15,6 @@ from .harness import (
     conjecture_fit,
     estimate_event_failures,
     event_pipeline_trial,
-    expected_small_generators_check,
     frobenius_whp_cap,
     pipeline_outcome,
     polylog_frobenius_cap,

@@ -124,7 +124,7 @@ def _cmd_events(args: argparse.Namespace) -> int:
             "frobenius_within_cap_given_d3", report.frobenius_within_cap_given_d3
         )
     )
-    check = harness.expected_small_generators_check(args.p, args.trials, args.seed)
+    check = report.small_generator_check
     if check is None:
         print("small_generator_check=absent")
     else:

@@ -8,13 +8,14 @@ Four instrument groups share this module:
 * growth-rate diagnostics for the scaling guess F ~ (1/p) log2(1/p) and
   e ~ log2(1/p) (``conjecture_fit``; descriptive, makes no pass/fail claim),
 * the staged event pipeline behind the high-probability Frobenius cap
-  (``event_pipeline_trial`` and the estimators built on it).
+  (``event_pipeline_trial``, and ``estimate_event_failures``: one walk per trial).
 
 Determinism contract: every trial draws from a substream keyed by
-(master_seed, stream tag, trial index); per-metric tallies are exact
-integer sums merged in trial order.  Output therefore never depends on
-the worker count, which defaults to all cores and can be overridden with
-the RANDSEMIGROUP_WORKERS environment variable or a ``workers=`` argument.
+(master_seed, stream tag, trial index); trials run on ``rng.run_trials``
+and per-metric tallies are merged in trial order.  Output therefore never
+depends on the worker count, which defaults to all cores and can be
+overridden with the RANDSEMIGROUP_WORKERS environment variable or a
+``workers=`` argument.
 
 Proportions carry Wilson score intervals; conditional proportions with an
 empty conditioning set are reported as absent (None / empty CSV field),
@@ -24,14 +25,13 @@ never as zero.
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Literal, Optional, Sequence
 
-from .rng import TAG_EVENTS, randbelow, substream
+# WORKERS_ENV_VAR is imported so that harness.WORKERS_ENV_VAR keeps resolving
+from .rng import TAG_EVENTS, WORKERS_ENV_VAR, randbelow, resolve_workers, run_trials, substream
 from .sampler import ErConfig, sample_bounded, sample_unconstrained
 from .semigroup import (
     GeneratorSet,
@@ -43,8 +43,6 @@ from .semigroup import (
     wilf_check,
 )
 from .sumsets import is_prime
-
-WORKERS_ENV_VAR = "RANDSEMIGROUP_WORKERS"
 
 
 class InternalInvariantError(RuntimeError):
@@ -204,8 +202,9 @@ def _check_pointwise(inv: SemigroupInvariants) -> None:
         )
 
 
-def _sweep_trial(args: tuple) -> tuple:
-    p, bound, master_seed, trial_index = args
+def _sweep_trial(
+    p: float, bound: Optional[int], master_seed: int, trial_index: int
+) -> Optional[tuple]:
     if bound is None:
         trace = sample_unconstrained(p, master_seed, trial_index)
         gens: GeneratorSet = trace.gens
@@ -214,39 +213,18 @@ def _sweep_trial(args: tuple) -> tuple:
         gens = sample_bounded(ErConfig(p, bound, master_seed), trial_index)
         stop = None
         if gens.gcd != 1:
-            return (trial_index, None)
+            return None
     inv = invariants(gens)
     _check_pointwise(inv)
-    return (
-        trial_index,
-        (
-            inv.frobenius,
-            inv.genus,
-            inv.embedding_dimension,
-            stop,
-            wilf_check(inv).holds,
-        ),
-    )
+    return inv.frobenius, inv.genus, inv.embedding_dimension, stop, wilf_check(inv).holds
 
 
-def resolve_workers(workers: Optional[int] = None) -> int:
-    """Explicit argument, else RANDSEMIGROUP_WORKERS, else all cores."""
-    if workers is None:
-        env = os.environ.get(WORKERS_ENV_VAR)
-        try:
-            workers = int(env) if env else (os.cpu_count() or 1)
-        except ValueError:
-            raise ValueError(f"{WORKERS_ENV_VAR} must be an integer, got {env!r}") from None
-    if workers < 1:
-        raise ValueError(f"worker count must be >= 1, got {workers}")
-    return workers
-
-
-def _mean_and_ci(total: int, total_sq: int, n: int) -> tuple[float, float]:
+def _mean_and_ci(values: Sequence[int]) -> tuple[float, float]:
+    n, total = len(values), sum(values)
     mean = total / n
     if n < 2:
         return mean, 0.0
-    var = (total_sq - total * total / n) / (n - 1)
+    var = (sum(v * v for v in values) - total * total / n) / (n - 1)
     return mean, _Z95 * math.sqrt(max(0.0, var) / n)
 
 
@@ -262,8 +240,9 @@ def run_sweep(
     M=None samples the unconstrained model; an integer M (or "auto",
     meaning ceil(50/p) per p) samples the bounded one, where draws with
     gcd != 1 are excluded from the means and counted in excluded_trials.
-    Per-metric tallies are exact integer sums folded in trial order, so
-    results are identical for every worker count.
+    Every trial at every p runs in one ``run_trials`` call; per-metric
+    tallies are exact integer sums folded in trial order, so results are
+    identical for every worker count.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -273,7 +252,7 @@ def run_sweep(
         raise ValueError(f"M must be >= 1, got {M}")
     workers = resolve_workers(workers)
 
-    rows = []
+    cells = []
     for p in sorted(set(p_list), reverse=True):
         bound = math.ceil(50 / p) if M == "auto" else M
         if bound is not None and bound < 10 / p:
@@ -282,44 +261,22 @@ def run_sweep(
                 "bounded-model means will be badly truncated",
                 stacklevel=2,
             )
-        args = [(p, bound, master_seed, t) for t in range(trials)]
-        if workers == 1:
-            results = [_sweep_trial(a) for a in args]
-        else:
-            chunk = max(1, trials // (workers * 8))
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_sweep_trial, args, chunksize=chunk))
-        results.sort(key=lambda r: r[0])  # merge tallies in trial order
+        cells.append((p, bound))
+    jobs = [(p, bound, master_seed, t) for p, bound in cells for t in range(trials)]
+    results = run_trials(_sweep_trial, jobs, workers)
 
-        sums = {"F": 0, "g": 0, "e": 0, "stop": 0}
-        sqs = {"F": 0, "g": 0, "e": 0}
-        included = 0
-        wilf_violations = 0
-        for _, payload in results:
-            if payload is None:
-                continue
-            f, g, e, stop, wilf_ok = payload
-            included += 1
-            sums["F"] += f
-            sums["g"] += g
-            sums["e"] += e
-            sqs["F"] += f * f
-            sqs["g"] += g * g
-            sqs["e"] += e * e
-            if stop is not None:
-                sums["stop"] += stop
-            if not wilf_ok:
-                wilf_violations += 1
-
-        if included == 0:
+    rows = []
+    for i, (p, bound) in enumerate(cells):
+        kept = [r for r in results[i * trials : (i + 1) * trials] if r is not None]
+        if not kept:
             rows.append(
                 SweepRow(p, trials, None, None, None, None, None, None, None, 0, trials)
             )
             continue
-        mean_f, ci_f = _mean_and_ci(sums["F"], sqs["F"], included)
-        mean_g, ci_g = _mean_and_ci(sums["g"], sqs["g"], included)
-        mean_e, ci_e = _mean_and_ci(sums["e"], sqs["e"], included)
-        mean_stop = sums["stop"] / included if bound is None else None
+        fs, gs, es, stops, wilf_ok = zip(*kept)
+        mean_f, ci_f = _mean_and_ci(fs)
+        mean_g, ci_g = _mean_and_ci(gs)
+        mean_e, ci_e = _mean_and_ci(es)
         rows.append(
             SweepRow(
                 p=p,
@@ -330,9 +287,9 @@ def run_sweep(
                 ci95_g=ci_g,
                 mean_e=mean_e,
                 ci95_e=ci_e,
-                mean_stop_index=mean_stop,
-                wilf_violations=wilf_violations,
-                excluded_trials=trials - included,
+                mean_stop_index=sum(stops) / len(kept) if bound is None else None,
+                wilf_violations=wilf_ok.count(False),
+                excluded_trials=trials - len(kept),
             )
         )
     return rows
@@ -495,71 +452,29 @@ def pipeline_outcome(
     return EventOutcome(True, True, d3, q, count, max_apery)
 
 
-def event_pipeline_trial(p: float, master_seed: int, trial_index: int) -> EventOutcome:
-    """Sample 1..ceil(6 f(p)) at rate p on the trial substream, then stage."""
+def _selection(p: float, master_seed: int, trial_index: int) -> tuple:
+    """The trial's substream and the integers it keeps from 1..ceil(6 f(p))."""
     _, n_max, _ = _prime_window(p)
     rng = substream(master_seed, TAG_EVENTS, trial_index)
-    selected = [n for n in range(1, n_max + 1) if rng.random() < p]
+    return rng, [n for n in range(1, n_max + 1) if rng.random() < p]
+
+
+def event_pipeline_trial(p: float, master_seed: int, trial_index: int) -> EventOutcome:
+    """Sample 1..ceil(6 f(p)) at rate p on the trial substream, then stage."""
+    rng, selected = _selection(p, master_seed, trial_index)
     return pipeline_outcome(p, selected, rng)
 
 
-@dataclass(frozen=True)
-class EventFailureReport:
-    """Stage failure frequencies; conditionals are None when unobserved.
-
-    frobenius_within_cap_given_d3 reports how often the Frobenius number
-    of the semigroup generated by *all* selected integers stays within
-    u(p) = 36 f(p) log2(6 f(p)) among d3-successful trials (it always
-    should: the d3 cap 6 q log2 q is at most u(p)).
-    """
-
-    p: float
-    trials: int
-    pr_not_d1: Proportion
-    pr_not_d2_given_d1: Optional[Proportion]
-    pr_not_d3_given_d12: Optional[Proportion]
-    frobenius_within_cap_given_d3: Optional[Proportion]
-
-
-def estimate_event_failures(
-    p: float, trials: int, master_seed: int
-) -> EventFailureReport:
-    """Monte Carlo stage-failure estimates with Wilson intervals."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    _, n_max, _ = _prime_window(p)
-    cap = frobenius_whp_cap(p)
-    n_d1 = n_d12 = n_d3 = 0
-    not_d2 = not_d3 = 0
-    within_cap = 0
-    for t in range(trials):
-        rng = substream(master_seed, TAG_EVENTS, t)
-        selected = [n for n in range(1, n_max + 1) if rng.random() < p]
-        outcome = pipeline_outcome(p, selected, rng)
-        if not outcome.d1:
-            continue
-        n_d1 += 1
-        if not outcome.d2:
-            not_d2 += 1
-            continue
-        n_d12 += 1
-        if not outcome.d3:
-            not_d3 += 1
-            continue
-        n_d3 += 1
-        f = frobenius(normalize_generators(selected))
-        if f <= cap:
-            within_cap += 1
-    return EventFailureReport(
-        p=p,
-        trials=trials,
-        pr_not_d1=wilson_proportion(trials - n_d1, trials),
-        pr_not_d2_given_d1=wilson_proportion(not_d2, n_d1) if n_d1 else None,
-        pr_not_d3_given_d12=wilson_proportion(not_d3, n_d12) if n_d12 else None,
-        frobenius_within_cap_given_d3=(
-            wilson_proportion(within_cap, n_d3) if n_d3 else None
-        ),
-    )
+def _event_trial(
+    p: float, master_seed: int, trial_index: int
+) -> tuple[EventOutcome, Optional[bool]]:
+    """One pipeline trial, plus (on d3 trials only) whether the Frobenius
+    number of the semigroup generated by all selected integers is <= u(p)."""
+    rng, selected = _selection(p, master_seed, trial_index)
+    outcome = pipeline_outcome(p, selected, rng)
+    if not outcome.d3:
+        return outcome, None
+    return outcome, frobenius(normalize_generators(selected)) <= frobenius_whp_cap(p)
 
 
 @dataclass(frozen=True)
@@ -581,35 +496,46 @@ class SmallGeneratorReport:
     within_5se: bool
 
 
-def expected_small_generators_check(
-    p: float, trials: int, master_seed: int
+@dataclass(frozen=True)
+class EventFailureReport:
+    """Stage failure frequencies; conditionals are None when unobserved.
+
+    frobenius_within_cap_given_d3 reports how often the Frobenius number
+    of the semigroup generated by *all* selected integers stays within
+    u(p) = 36 f(p) log2(6 f(p)) among d3-successful trials (it always
+    should: the d3 cap 6 q log2 q is at most u(p)).  small_generator_check
+    compares mean G with mean (q-1)p over the same trials' d1 successes
+    (see ``SmallGeneratorReport``); it is None when no trial reached d1.
+    """
+
+    p: float
+    trials: int
+    pr_not_d1: Proportion
+    pr_not_d2_given_d1: Optional[Proportion]
+    pr_not_d3_given_d12: Optional[Proportion]
+    frobenius_within_cap_given_d3: Optional[Proportion]
+    small_generator_check: Optional[SmallGeneratorReport]
+
+
+def _small_generator_check(
+    p: float, trials: int, d1: Sequence[EventOutcome]
 ) -> Optional[SmallGeneratorReport]:
-    """Check mean G against mean (q-1)p; None when no trial reached d1."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    _, n_max, primes = _prime_window(p)
-    n_d1 = 0
+    """Mean G against mean (q-1)p over the d1 outcomes, in trial order."""
+    if not d1:
+        return None
+    n_d1 = len(d1)
     sum_g = 0
     sum_expected = 0.0
     sum_d = 0.0
     sum_d2 = 0.0
-    for t in range(trials):
-        rng = substream(master_seed, TAG_EVENTS, t)
-        selected = [n for n in range(1, n_max + 1) if rng.random() < p]
-        selected_primes = [n for n in selected if n in primes]
-        if not selected_primes:
-            continue
-        q = max(selected_primes)
-        g = sum(1 for n in selected if n < q)
-        expected = (q - 1) * p
-        n_d1 += 1
+    for outcome in d1:
+        g = outcome.small_generator_count
+        expected = (outcome.q - 1) * p
         sum_g += g
         sum_expected += expected
         d = g - expected
         sum_d += d
         sum_d2 += d * d
-    if n_d1 == 0:
-        return None
     mean_d = sum_d / n_d1
     var_d = (sum_d2 - sum_d * sum_d / n_d1) / (n_d1 - 1) if n_d1 > 1 else 0.0
     se = math.sqrt(max(0.0, var_d) / n_d1)
@@ -622,4 +548,31 @@ def expected_small_generators_check(
         diff=mean_d,
         se=se,
         within_5se=abs(mean_d) < 5 * se if se > 0 else mean_d == 0,
+    )
+
+
+def estimate_event_failures(
+    p: float, trials: int, master_seed: int
+) -> EventFailureReport:
+    """Monte Carlo stage-failure estimates with Wilson intervals, and the
+    small-generator check, from one walk over the trials."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    _prime_window(p)  # reject an undefined window before any trial runs
+    results = run_trials(_event_trial, [(p, master_seed, t) for t in range(trials)])
+    d1 = [outcome for outcome, _ in results if outcome.d1]
+    n_d12 = sum(1 for outcome in d1 if outcome.d2)
+    within_cap = [within for outcome, within in results if outcome.d3]
+    return EventFailureReport(
+        p=p,
+        trials=trials,
+        pr_not_d1=wilson_proportion(trials - len(d1), trials),
+        pr_not_d2_given_d1=wilson_proportion(len(d1) - n_d12, len(d1)) if d1 else None,
+        pr_not_d3_given_d12=(
+            wilson_proportion(n_d12 - len(within_cap), n_d12) if n_d12 else None
+        ),
+        frobenius_within_cap_given_d3=(
+            wilson_proportion(sum(within_cap), len(within_cap)) if within_cap else None
+        ),
+        small_generator_check=_small_generator_check(p, trials, d1),
     )

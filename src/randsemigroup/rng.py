@@ -15,13 +15,21 @@ the derived 64-bit value.  Only ``random()`` and ``getrandbits()`` are
 ever consumed; CPython documents both sequences as stable across versions
 and platforms for a fixed seed.  Bounded uniform integers go through
 ``randbelow`` (rejection on ``getrandbits``), not ``randrange``.
+
+``run_trials`` is the one trial engine behind sweeps, event estimates and
+sumset coverage; it returns results in trial order for any worker count.
 """
 
 from __future__ import annotations
 
+import os
 import random
+from concurrent.futures import ProcessPoolExecutor
+from typing import Callable, Optional, Sequence
 
 _MASK64 = (1 << 64) - 1
+
+WORKERS_ENV_VAR = "RANDSEMIGROUP_WORKERS"
 
 # Stream tags keep unrelated draw sequences apart.  Arbitrary but frozen.
 TAG_SAMPLE = 0x5347454E53414D50    # generator-set sampling (bounded and unconstrained share it)
@@ -59,3 +67,32 @@ def randbelow(rng: random.Random, n: int) -> int:
     while r >= n:
         r = rng.getrandbits(k)
     return r
+
+
+def resolve_workers(workers: Optional[int] = None) -> int:
+    """Explicit argument, else RANDSEMIGROUP_WORKERS, else all cores."""
+    if workers is None:
+        env = os.environ.get(WORKERS_ENV_VAR)
+        try:
+            workers = int(env) if env else (os.cpu_count() or 1)
+        except ValueError:
+            raise ValueError(f"{WORKERS_ENV_VAR} must be an integer, got {env!r}") from None
+    if workers < 1:
+        raise ValueError(f"worker count must be >= 1, got {workers}")
+    return workers
+
+
+def run_trials(fn: Callable, args: Sequence[tuple], workers: Optional[int] = None) -> list:
+    """``[fn(*a) for a in args]`` in trial order, on one pool per call.
+
+    Runs in this process when one worker (or one trial) is all there is to
+    use; otherwise ``fn`` must be picklable by import path, and one process
+    pool of ``min(workers, len(args))`` workers maps it over ``args``.
+    """
+    workers = resolve_workers(workers)
+    size = min(workers, len(args))
+    if size <= 1:
+        return [fn(*a) for a in args]
+    chunk = max(1, len(args) // (workers * 8))
+    with ProcessPoolExecutor(max_workers=size) as pool:
+        return list(pool.map(fn, *zip(*args), chunksize=chunk))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .rng import TAG_COVERAGE, randbelow, substream
+from .rng import TAG_COVERAGE, randbelow, run_trials, substream
 
 # Deterministic Miller-Rabin witnesses, valid for all n < 2^64.
 _MR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
@@ -251,13 +251,12 @@ class CoverageExperiment:
 def run_coverage_experiment(
     q: int, b: float, trials: int, master_seed: int
 ) -> CoverageExperiment:
-    """Repeated coverage trials; failures counts non-covering draws."""
+    """Coverage trials run by ``run_trials``; failures counts non-covering draws."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     k = _summands(q, b)
-    failures = sum(
-        0 if coverage_trial(q, b, master_seed, t) else 1 for t in range(trials)
-    )
+    covered = run_trials(coverage_trial, [(q, b, master_seed, t) for t in range(trials)])
+    failures = covered.count(False)
     return CoverageExperiment(
         q, b, 2 * k, k, trials, failures, coverage_failure_bound(q, b)
     )

@@ -17,8 +17,8 @@ from randsemigroup import (
     conjecture_fit,
     count_subsets_with_sum,
     coverage_failure_bound,
+    estimate_event_failures,
     event_pipeline_trial,
-    expected_small_generators_check,
     frobenius,
     genus,
     invariants,
@@ -159,7 +159,7 @@ def test_05_expectation_bracketing():
 
 def test_06_small_generator_count_consistency():
     t0 = time.perf_counter()
-    rep = expected_small_generators_check(0.1, 100_000, 6006)
+    rep = estimate_event_failures(0.1, 100_000, 6006).small_generator_check
     elapsed = time.perf_counter() - t0
     if rep is None:
         _report("small-generator count consistency", False, "no d1 successes")

@@ -4,7 +4,9 @@ Each file under tests/golden/ holds the exact stdout of one CLI invocation,
 recorded once and never rewritten to make a test pass.  Rerun equality alone
 would not notice a change in how the random streams are consumed; these
 bytes do.  The events run reaches stage d3 on one of its three trials, and
-the partial sumset run fails to cover Z_q on 31 of its 40 trials.
+the partial sumset run fails to cover Z_q on 31 of its 40 trials.  The runs
+that go through the trial engine (sweeps, events, sumsets) are also checked
+at two workers, where their trials run on a process pool.
 """
 
 from pathlib import Path
@@ -29,10 +31,22 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_cli_output_matches_golden(name, monkeypatch, capsys):
-    monkeypatch.setenv(WORKERS_ENV_VAR, "1")
+POOLED = sorted(n for n in GOLDEN if n.startswith(("sweep_", "events_", "sumset")))
+
+
+def _check_golden(name, workers, monkeypatch, capsys):
+    monkeypatch.setenv(WORKERS_ENV_VAR, workers)
     code = main(GOLDEN[name])
     captured = capsys.readouterr()
     assert code == 0 and captured.err == ""
     assert captured.out == (GOLDEN_DIR / name).read_text()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_cli_output_matches_golden(name, monkeypatch, capsys):
+    _check_golden(name, "1", monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("name", POOLED)
+def test_cli_output_matches_golden_at_two_workers(name, monkeypatch, capsys):
+    _check_golden(name, "2", monkeypatch, capsys)

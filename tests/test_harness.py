@@ -5,6 +5,7 @@ import math
 import pytest
 
 from randsemigroup import (
+    EventOutcome,
     GeneratorSet,
     InternalInvariantError,
     SemigroupInvariants,
@@ -12,7 +13,6 @@ from randsemigroup import (
     conjecture_fit,
     estimate_event_failures,
     event_pipeline_trial,
-    expected_small_generators_check,
     frobenius_whp_cap,
     pipeline_outcome,
     polylog_frobenius_cap,
@@ -22,8 +22,10 @@ from randsemigroup import (
     theoretical_bounds,
     wilson_proportion,
 )
+from randsemigroup import harness
 from randsemigroup.harness import (
     SWEEP_CSV_HEADER,
+    WORKERS_ENV_VAR,
     SweepRow,
     _check_pointwise,
     _fmt,
@@ -91,6 +93,13 @@ def test_sweep_worker_count_does_not_change_output():
     b_one = run_sweep([0.25], 40, 29, M=40, workers=1)
     b_two = run_sweep([0.25], 40, 29, M=40, workers=3)
     assert b_one == b_two
+
+
+@pytest.mark.parametrize("M", [None, "auto"])
+def test_multi_p_sweep_worker_count_does_not_change_output(M):
+    # one pool serves every p, so chunks of the flattened jobs cross p boundaries
+    one = run_sweep([0.2, 0.1, 0.05], 40, 37, M=M, workers=1)
+    assert one == run_sweep([0.2, 0.1, 0.05], 40, 37, M=M, workers=2)
 
 
 def test_resolve_workers(monkeypatch):
@@ -256,7 +265,7 @@ def test_estimate_event_failures_absent_conditionals():
     assert rep.pr_not_d1.fraction == 1.0
     assert rep.pr_not_d2_given_d1 is None
     assert rep.pr_not_d3_given_d12 is None
-    assert expected_small_generators_check(0.3, 2, 182) is None
+    assert rep.small_generator_check is None
 
 
 def test_not_d1_rate_decreases_with_p():
@@ -266,11 +275,45 @@ def test_not_d1_rate_decreases_with_p():
 
 
 def test_expected_small_generators_check_passes():
-    rep = expected_small_generators_check(0.2, 4000, 99)
+    rep = estimate_event_failures(0.2, 4000, 99).small_generator_check
     assert rep is not None
     assert rep.n_d1 > 3000
     assert rep.within_5se
     assert abs(rep.mean_count - rep.mean_expected - rep.diff) < 1e-9
+
+
+def test_events_walk_each_trial_once(monkeypatch):
+    calls = []
+
+    def counting_substream(*key):
+        calls.append(key)
+        return substream(*key)
+
+    monkeypatch.setenv(WORKERS_ENV_VAR, "1")
+    monkeypatch.setattr(harness, "substream", counting_substream)
+    report = estimate_event_failures(0.1, 300, 41)
+    assert len(calls) == 300
+    assert report.small_generator_check.n_d1 == report.pr_not_d2_given_d1.denominator
+
+
+def test_event_fold_counts_each_stage(monkeypatch):
+    # one trial per stage outcome: not d1, d1 only, d2 without d3, d3
+    staged = [
+        EventOutcome(False, False, False, None, 0, None),
+        EventOutcome(True, False, False, 211, 10, None),
+        EventOutcome(True, True, False, 223, 40, 10**9),
+        EventOutcome(True, True, True, 227, 41, 1000),
+    ]
+    monkeypatch.setenv(WORKERS_ENV_VAR, "1")
+    monkeypatch.setattr(harness, "pipeline_outcome", lambda p, sel, rng: staged.pop(0))
+    report = estimate_event_failures(0.1, 4, 0)
+    assert (report.pr_not_d1.numerator, report.pr_not_d1.denominator) == (1, 4)
+    assert (report.pr_not_d2_given_d1.numerator, report.pr_not_d2_given_d1.denominator) == (1, 3)
+    assert (report.pr_not_d3_given_d12.numerator, report.pr_not_d3_given_d12.denominator) == (1, 2)
+    assert report.frobenius_within_cap_given_d3.denominator == 1
+    check = report.small_generator_check
+    assert check.n_d1 == 3 and check.mean_count == (10 + 40 + 41) / 3
+    assert abs(check.mean_expected - (210 + 222 + 226) * 0.1 / 3) < 1e-12
 
 
 def test_forced_d3_upper_bounds_full_frobenius():
