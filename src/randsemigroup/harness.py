@@ -28,6 +28,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from typing import Literal, Optional, Sequence
 
 # WORKERS_ENV_VAR is imported so that harness.WORKERS_ENV_VAR keeps resolving
@@ -42,7 +43,6 @@ from .semigroup import (
     normalize_generators,
     wilf_check,
 )
-from .sumsets import is_prime
 
 
 class InternalInvariantError(RuntimeError):
@@ -407,19 +407,34 @@ class EventOutcome:
     max_apery: Optional[int]
 
 
+_MAX_WINDOW = 1 << 24  # the window's sieve and each trial's draws are O(N)
+
+
 @lru_cache(maxsize=None)
 def _prime_window(p: float) -> tuple[float, int, frozenset[int]]:
-    """(f(p), examination cutoff N = ceil(6 f(p)), primes in (f, 6f])."""
+    """(f(p), examination cutoff N = ceil(6 f(p)), primes in (f, 6f]).
+
+    The primes come from a sieve of Eratosthenes up to N, which must not
+    exceed 2^24 (a smaller p is rejected before any allocation).
+    """
     f = prime_window_base(p)
     if f < 2:
         raise ValueError(
             f"prime window needs f(p) >= 2 but f({p}) = {f:.3f}; use a smaller p"
         )
     n_max = math.ceil(6 * f)
-    primes = frozenset(
-        n for n in range(2, n_max + 1) if f < n <= 6 * f and is_prime(n)
-    )
-    return f, n_max, primes
+    if n_max > _MAX_WINDOW:
+        raise ValueError(
+            f"prime window for p = {p} needs ceil(6 f(p)) = {n_max} integers, "
+            f"above the limit {_MAX_WINDOW}; use a larger p"
+        )
+    sieve = bytearray([1]) * (n_max + 1)
+    sieve[:2] = b"\0\0"
+    for i in range(2, math.isqrt(n_max) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, n_max + 1, i)))
+    lo, hi = math.floor(f) + 1, math.floor(6 * f)  # the integers n with f < n <= 6f
+    return f, n_max, frozenset(compress(range(lo, hi + 1), sieve[lo : hi + 1]))
 
 
 def pipeline_outcome(

@@ -18,11 +18,13 @@ element of <A> congruent to i mod m.  Then
     F = max(entries) - m          and         g = sum_i floor(entries[i] / m),
 
 and x >= 0 is a member exactly when x >= entries[x mod m].  One kernel,
-``extend_minima``, builds every such table: it folds one generator into
-the minima in a single O(m) round-robin pass, so batch tables and the
-sampler's incremental table are the same code, and no interval of
-integers is ever scanned.  ``membership_table`` is the independent
-bit-packed scan kept as a test oracle.
+``extend_minima``, builds every such table modulo the least generator l: it
+folds one generator into the minima in a single O(l) round-robin pass, so
+batch tables and the sampler's incremental table are the same code, and no
+interval of integers is ever scanned.  The table for any other member m
+is read off the table mod l in O(m), since its entries are the members x
+with x - m not in <A>; it is never folded mod m.  ``membership_table`` is
+the independent bit-packed scan kept as a test oracle.
 """
 
 from __future__ import annotations
@@ -159,11 +161,15 @@ def extend_minima(entries: list, a: int) -> None:
 
 
 def apery_set(gens: GeneratorSet, m: int) -> AperyTable:
-    """Class minima mod m, folding each generator into the table of <m>.
+    """Class minima mod m, read off the fold modulo the least generator l.
 
     Requires gcd(gens + {m}) = 1 (otherwise some class is unreachable and
     NotCofiniteError is raised) and m in <A> (otherwise the minima would
-    not coincide with {x in <A> : x - m not in <A>}; ValueError).
+    not coincide with {x in <A> : x - m not in <A>}; ValueError).  Costs
+    O(l * len(gens) + m): every generator is folded into the table w mod l
+    with ``extend_minima``; for m != l, the members x = r (mod l) with
+    x - m outside <A> are exactly range(w[r], w[(r - m) % l] + m, l), and
+    these m values are the minima mod m.
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
@@ -172,11 +178,20 @@ def apery_set(gens: GeneratorSet, m: int) -> AperyTable:
             f"gcd(generators + {{{m}}}) = {math.gcd(gens.gcd, m)} != 1; "
             "some residue class mod m is never reached"
         )
-    if m not in gens.elements and not membership_table(gens, m)[m]:
+    w = []
+    if gens.elements:
+        w = [0] + [math.inf] * (gens.elements[0] - 1)
+        for a in gens.elements:
+            extend_minima(w, a)
+    if not w or m < w[m % len(w)]:
         raise ValueError(f"m = {m} is not an element of the semigroup")
-    entries = [0] + [math.inf] * (m - 1)
-    for a in gens.elements:
-        extend_minima(entries, a)
+    least = len(w)
+    if m == least:
+        return AperyTable(m, tuple(w))
+    entries = [0] * m
+    for r in range(least):
+        for x in range(w[r], w[(r - m) % least] + m, least):
+            entries[x % m] = x
     return AperyTable(m, tuple(entries))
 
 

@@ -173,6 +173,15 @@ def test_events_rejects_undefined_window(capsys):
     assert "f(p) >= 2" in err
 
 
+def test_events_rejects_tiny_p_before_any_work(capsys):
+    code, out, err = run_cli(capsys, "events", "--p", "1e-5", "--trials", "1", "--seed", "0")
+    assert code == 2 and out == ""
+    assert err == (
+        "error: prime window for p = 1e-05 needs ceil(6 f(p)) = 79528472 integers, "
+        "above the limit 16777216; use a larger p\n"
+    )
+
+
 def test_bounds_lines(capsys):
     rec = harness.theoretical_bounds(0.5)
     code, out, _ = run_cli(capsys, "bounds", "--p", "0.5")

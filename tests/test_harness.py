@@ -212,6 +212,45 @@ def test_prime_window_contents():
         event_pipeline_trial(0.5, 1, 0)  # f(0.5) < 2: window undefined
 
 
+def _least_p(holds):
+    """Least p (by bisection) with holds(f(p)); f falls as p grows."""
+    lo, hi = 1e-4, 0.13
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        if holds(prime_window_base(mid)):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _is_prime_window(p):
+    f, n_max, _ = _prime_window(p)
+    return frozenset(n for n in range(2, n_max + 1) if f < n <= 6 * f and is_prime(n))
+
+
+@pytest.mark.parametrize("p", [0.005, 0.0123, 0.05, 0.1, 0.12, 0.127])
+def test_sieved_prime_window_equals_primality_tests(p):
+    assert _prime_window(p)[2] == _is_prime_window(p)
+
+
+# (prime N, scale): p values with scale * f(p) within 1e-6 of N, on both sides.
+@pytest.mark.parametrize("target, scale", [(53, 1), (317, 6), (5623, 1), (33679, 6)])
+def test_sieved_prime_window_at_both_ends(target, scale):
+    at = _least_p(lambda f: scale * f <= target)
+    above = math.nextafter(at, 0.0)  # the greatest p with scale * f > N
+    below = _least_p(lambda f: scale * f < target)
+    for p in (at, above, below):
+        assert abs(scale * prime_window_base(p) - target) < 1e-6
+        assert _prime_window(p)[2] == _is_prime_window(p)
+    if scale == 1:  # open left end (f: N is in only while f < N
+        assert target in _prime_window(below)[2]
+        assert target not in _prime_window(above)[2]
+    else:  # closed right end 6f]: N is in while N <= 6f
+        assert target in _prime_window(above)[2]
+        assert target not in _prime_window(below)[2]
+
+
 def test_pipeline_forced_streams():
     _, n_max, _ = _prime_window(0.1)
     rng = substream(0, 0, 0)

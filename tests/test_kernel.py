@@ -6,6 +6,7 @@ Frobenius numbers the largest zero bit below a Schur bound.
 """
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -13,7 +14,10 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from randsemigroup import (  # noqa: E402
+    NotCofiniteError,
     apery_set,
+    frobenius,
+    genus,
     membership_table,
     minimal_generators,
     normalize_generators,
@@ -118,3 +122,50 @@ def test_minimal_generators_match_bitset_definition(els):
         if not any(g < a and (bits >> (a - g)) & 1 for g in gens.elements)
     )
     assert minimal_generators(gens).elements == expected
+
+
+small_cofinite = st.lists(st.integers(1, 30), min_size=1, max_size=5).filter(
+    lambda els: math.gcd(*els) == 1
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_cofinite, st.sampled_from(["generator", "non-generator", "beyond F"]), st.data())
+def test_apery_set_for_any_member_matches_brute_minima(els, kind, data):
+    # Any member m, not only the least generator the table is folded over.
+    gens = normalize_generators(els)
+    f = brute_frobenius(els)
+    if kind == "generator":
+        m = data.draw(st.sampled_from(gens.elements))
+    elif kind == "non-generator":
+        top = 2 * gens.elements[-1]  # a member and no generator
+        bits = membership_table(gens, top).bits
+        others = [x for x in range(1, top + 1) if (bits >> x) & 1 and x not in gens.elements]
+        m = data.draw(st.sampled_from(others))
+    else:
+        m = max(f + 1, 1) + data.draw(st.integers(0, 30))  # every m > F is a member
+    w = apery_set(gens, m).entries
+    assert list(w) == brute_minima(m, els)
+    assert max(w) - m == frobenius(gens) == f
+    assert Fraction(sum(w), m) - Fraction(m - 1, 2) == genus(gens)  # Selmer 1977
+
+
+@pytest.mark.parametrize(
+    "els, m, error, message",
+    [
+        ([], 1, ValueError, "m = 1 is not an element of the semigroup"),
+        ([], 2, NotCofiniteError, "gcd(generators + {2}) = 2 != 1; "
+                                  "some residue class mod m is never reached"),
+        ([3, 5], 4, ValueError, "m = 4 is not an element of the semigroup"),
+        ([3, 5], 7, ValueError, "m = 7 is not an element of the semigroup"),
+        ([4, 6], 3, ValueError, "m = 3 is not an element of the semigroup"),
+        ([4, 6], 6, NotCofiniteError, "gcd(generators + {6}) = 2 != 1; "
+                                      "some residue class mod m is never reached"),
+        ([3, 5], 0, ValueError, "m must be a positive integer"),
+    ],
+)
+def test_apery_set_edge_cases_keep_their_errors(els, m, error, message):
+    with pytest.raises(ValueError) as info:
+        apery_set(normalize_generators(els), m)
+    assert info.type is error
+    assert str(info.value) == message
