@@ -22,10 +22,9 @@ _MAX_CYCLIC_Q = 1 << 24  # bit-packed Z_q tables stay O(q) memory below this
 def _probability(text: str) -> float:
     try:
         p = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if not 0.0 < p < 1.0:
-        raise argparse.ArgumentTypeError(f"p must lie strictly in (0, 1), got {p}")
+        sampler.check_probability(p)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
     return p
 
 

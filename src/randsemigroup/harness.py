@@ -33,7 +33,8 @@ from typing import Literal, Optional, Sequence
 
 # WORKERS_ENV_VAR is imported so that harness.WORKERS_ENV_VAR keeps resolving
 from .rng import TAG_EVENTS, WORKERS_ENV_VAR, randbelow, resolve_workers, run_trials, substream
-from .sampler import ErConfig, sample_bounded, sample_unconstrained
+from .sampler import ErConfig, check_probability, check_unconstrained_probability
+from .sampler import sample_bounded, sample_unconstrained, select
 from .semigroup import (
     GeneratorSet,
     SemigroupInvariants,
@@ -81,7 +82,7 @@ class BoundsRecord:
 
 def prime_window_base(p: float) -> float:
     """f(p) = (1/p) * ln(1/p)^2."""
-    _check_probability(p)
+    check_probability(p)
     return (1.0 / p) * math.log(1.0 / p) ** 2
 
 
@@ -93,19 +94,19 @@ def frobenius_whp_cap(p: float) -> float:
 
 def polylog_frobenius_cap(p: float, scale: float) -> float:
     """The same cap in its generic form: scale * (1/p) * ln(1/p)^3."""
-    _check_probability(p)
+    check_probability(p)
     return scale * (1.0 / p) * math.log(1.0 / p) ** 3
 
 
 def conditional_frobenius_tail(p: float, u: float) -> float:
     """Upper bound for E[F | F >= u]: 8/p^4 + 4u/p^2 + u^2."""
-    _check_probability(p)
+    check_probability(p)
     return 8.0 / p**4 + 4.0 * u / p**2 + u**2
 
 
 def theoretical_bounds(p: float) -> BoundsRecord:
     """Evaluate every closed form at one p in (0, 1)."""
-    _check_probability(p)
+    check_probability(p)
     shared_lower = (6 - 14 * p + 11 * p**2 - 3 * p**3) / (
         2 * p - 2 * p**3 + p**4
     )
@@ -122,11 +123,6 @@ def theoretical_bounds(p: float) -> BoundsRecord:
         frobenius_whp_cap=u,
         frobenius_tail_mean_bound=conditional_frobenius_tail(p, u),
     )
-
-
-def _check_probability(p: float) -> None:
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie strictly in (0, 1), got {p}")
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +233,8 @@ def run_sweep(
 ) -> list[SweepRow]:
     """One SweepRow per p, processed and returned in descending p order.
 
-    M=None samples the unconstrained model; an integer M (or "auto",
+    M=None samples the unconstrained model (every p must be >= 2^-24,
+    checked before any trial runs); an integer M (or "auto",
     meaning ceil(50/p) per p) samples the bounded one, where draws with
     gcd != 1 are excluded from the means and counted in excluded_trials.
     Every trial at every p runs in one ``run_trials`` call; per-metric
@@ -246,8 +243,9 @@ def run_sweep(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    check = check_probability if M is not None else check_unconstrained_probability
     for p in p_list:
-        _check_probability(p)
+        check(p)
     if M is not None and M != "auto" and M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
     workers = resolve_workers(workers)
@@ -468,10 +466,14 @@ def pipeline_outcome(
 
 
 def _selection(p: float, master_seed: int, trial_index: int) -> tuple:
-    """The trial's substream and the integers it keeps from 1..ceil(6 f(p))."""
+    """The trial's substream and the integers ``select`` keeps from 1..N.
+
+    N = ceil(6 f(p)), and exactly N draws are made, so the stream is left
+    at draw N + 1, where ``pipeline_outcome`` starts the d3 subset draw.
+    """
     _, n_max, _ = _prime_window(p)
     rng = substream(master_seed, TAG_EVENTS, trial_index)
-    return rng, [n for n in range(1, n_max + 1) if rng.random() < p]
+    return rng, list(select(rng, p, 1, n_max + 1))
 
 
 def event_pipeline_trial(p: float, master_seed: int, trial_index: int) -> EventOutcome:

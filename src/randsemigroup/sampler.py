@@ -1,20 +1,27 @@
 """Random generator sets: each positive integer is kept with probability p.
 
 Selection draws exactly one uniform u_n per integer n (in increasing n)
-from the trial's substream and keeps n iff u_n < p.  Consequences, both
-tested: for a fixed master seed and trial index, raising p can only add
-generators (coupling), and the bounded and unconstrained samplers agree
-on any shared prefix of integers because they consume the same stream.
+from the trial's substream and keeps n iff u_n < p; ``select`` is the one
+place that rule is written.  Consequences, both tested: for a fixed master
+seed and trial index, raising p can only add generators (coupling), and
+the bounded and unconstrained samplers agree on any shared prefix of
+integers because they consume the same stream.
 
 The unconstrained sampler has no cutoff M, so it must stop on its own.
-It examines n = 1, 2, 3, ... and stops at the first n (checked before
-examining n) such that the set selected so far has gcd 1 and Frobenius
-number < n.  From that point on, every unexamined integer is already a
-member of the generated semigroup, so no later selection could change the
-semigroup or any invariant; the returned generators determine everything.
-The sampler keeps the residue-class minima modulo its first selected
-integer m and folds in each later one with ``extend_minima``, so the
-Frobenius number is max(minima) - m: infinite until the gcd reaches 1.
+It stops at the first n (checked before examining n) such that the set
+selected so far has gcd 1 and Frobenius number F < n.  From that point on,
+every unexamined integer is already a member of the generated semigroup,
+so no later selection could change the semigroup or any invariant; the
+returned generators determine everything.  The sampler keeps the
+residue-class minima modulo its first selected integer m and folds in each
+later one with ``extend_minima``, so F = max(minima) - m: infinite until
+the gcd reaches 1.  F changes only at a keep, so the walk goes from keep
+to keep, drawing only while n <= F, and tests the stop once per keep: the
+stop index is max(last keep, F) + 1.  While the gcd exceeds 1 it fails
+safe instead of walking forever: if ceil(64/p) consecutive integers bring
+no keep (probability about e^-64) it raises ``RuntimeError``.  p below
+2^-24 is rejected up front, since a walk then covers far more than 2^24
+integers.
 """
 
 from __future__ import annotations
@@ -22,9 +29,42 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from typing import Iterator
 
 from .rng import TAG_SAMPLE, substream
 from .semigroup import GeneratorSet, extend_minima
+
+_MIN_UNCONSTRAINED_P = 2.0**-24
+
+
+def check_probability(p: float) -> None:
+    """Reject a selection probability outside (0, 1)."""
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"p must lie strictly in (0, 1), got {p}")
+
+
+def check_unconstrained_probability(p: float) -> None:
+    """``check_probability``, and reject p < 2^-24 for the unconstrained model."""
+    check_probability(p)
+    if p < _MIN_UNCONSTRAINED_P:
+        raise ValueError(
+            f"unconstrained sampling needs p >= 2^-24 = {_MIN_UNCONSTRAINED_P:.6g}, "
+            f"got p = {p}; use a larger p or a bound M"
+        )
+
+
+def select(rng: random.Random, p: float, start: int, stop: int) -> Iterator[int]:
+    """Yield each n of range(start, stop) with u_n < p, in increasing order.
+
+    u_n is the next ``rng.random()`` draw, taken only when the consumer asks
+    for the next keep: exhausting the iterator makes exactly stop - start
+    draws, and a consumer that stops after a keep leaves the stream just
+    past that keep's draw.
+    """
+    draw = rng.random
+    for n in range(start, stop):
+        if draw() < p:
+            yield n
 
 
 @dataclass(frozen=True)
@@ -36,8 +76,7 @@ class ErConfig:
     master_seed: int
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.p < 1.0:
-            raise ValueError(f"p must lie strictly in (0, 1), got {self.p}")
+        check_probability(self.p)
         if self.M < 1:
             raise ValueError(f"M must be >= 1, got {self.M}")
 
@@ -59,47 +98,41 @@ class SampleTrace:
 def sample_bounded(config: ErConfig, trial_index: int) -> GeneratorSet:
     """One draw from the bounded model; gcd may be != 1 (caller decides)."""
     rng = substream(config.master_seed, TAG_SAMPLE, trial_index)
-    p = config.p
-    selected: list[int] = []
-    g = 0
-    for n in range(1, config.M + 1):
-        if rng.random() < p:
-            selected.append(n)
-            g = math.gcd(g, n)
-    return GeneratorSet(tuple(selected), g)
+    selected = tuple(select(rng, config.p, 1, config.M + 1))
+    return GeneratorSet(selected, math.gcd(*selected))
 
 
 def sample_unconstrained(p: float, master_seed: int, trial_index: int) -> SampleTrace:
     """One draw from the unconstrained model; terminates with probability 1."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie strictly in (0, 1), got {p}")
+    check_unconstrained_probability(p)
     rng = substream(master_seed, TAG_SAMPLE, trial_index)
-    return _sample_unconstrained_from(rng, p, 2**32)
+    return _sample_unconstrained_from(rng, p)
 
 
-def _sample_unconstrained_from(
-    rng: random.Random, p: float, iteration_cap: int
-) -> SampleTrace:
+def _sample_unconstrained_from(rng: random.Random, p: float) -> SampleTrace:
     # Split out so tests can feed scripted streams to the stopping rule.
+    span = math.ceil(64 / p)
     selected: list[int] = []
     minima: list = []
     frob = math.inf
-    n = 0
+    last = 0
     while True:
-        n += 1
-        if frob < n:
-            return SampleTrace(GeneratorSet(tuple(selected), 1), n, n - 1)
-        if n > iteration_cap:
-            raise RuntimeError(
-                f"stopping rule not reached within {iteration_cap} integers "
-                f"(p={p}, selected {len(selected)} generators, "
-                f"gcd={math.gcd(*selected)}); "
-                "seed/trial combination appears pathological"
-            )
-        if rng.random() < p:
-            selected.append(n)
-            if minima:
-                extend_minima(minima, n)
-            else:
-                minima = [0] + [math.inf] * (n - 1)
-            frob = max(minima) - selected[0]
+        end = last + 1 + span if frob == math.inf else frob + 1
+        n = next(select(rng, p, last + 1, end), None)
+        if n is None:
+            break
+        selected.append(n)
+        if minima:
+            extend_minima(minima, n)
+        else:
+            minima = [0] + [math.inf] * (n - 1)
+        frob = max(minima) - selected[0]
+        last = n
+    if frob == math.inf:
+        raise RuntimeError(
+            f"no integer kept in the {span} integers after {last} while the gcd "
+            f"of the {len(selected)} kept so far is {math.gcd(*selected)} (p={p}); "
+            "a gap this long has probability about e^-64"
+        )
+    stop = max(last, frob) + 1
+    return SampleTrace(GeneratorSet(tuple(selected), 1), stop, stop - 1)

@@ -174,9 +174,9 @@ _BRUTE_LIMIT = 10**7
 def count_subsets_with_sum(q: int, k: int, z: int, method: str = "auto") -> int:
     """Number of k-element subsets of Z_q with sum congruent to z mod q.
 
-    method="auto" enumerates when C(q, k) <= 10^7 and refuses otherwise;
-    method="closed" uses C(q, k) / q, exact for prime q (z plays no role);
-    method="brute" forces enumeration.  Requires q prime and 1 <= k < q.
+    method="auto" (the default) enumerates the subsets when C(q, k) <= 10^7
+    and refuses otherwise; method="closed" uses C(q, k) / q, exact for prime
+    q (z plays no role).  Requires q prime and 1 <= k < q.
     """
     if not is_prime(q):
         raise ValueError(f"q = {q} must be prime")
@@ -186,7 +186,7 @@ def count_subsets_with_sum(q: int, k: int, z: int, method: str = "auto") -> int:
     total = math.comb(q, k)
     if method == "closed":
         return total // q
-    if method not in ("auto", "brute"):
+    if method != "auto":
         raise ValueError(f"unknown method {method!r}")
     if total > _BRUTE_LIMIT:
         raise ValueError(

@@ -2,7 +2,7 @@
 
 import pytest
 
-from randsemigroup import harness, run_sweep, sample_unconstrained, sweep_csv
+from randsemigroup import harness, run_sweep, sample_unconstrained, sampler, sweep_csv
 from randsemigroup.cli import main
 
 
@@ -59,6 +59,32 @@ def test_sample_rejects_bad_probability():
         with pytest.raises(SystemExit) as exc:
             main(["sample", "--p", bad, "--seed", "1"])
         assert exc.value.code == 2
+
+
+TINY_P_ERROR = (
+    "error: unconstrained sampling needs p >= 2^-24 = 5.96046e-08, got p = 1e-12; "
+    "use a larger p or a bound M\n"
+)
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started before the tiny p was rejected")
+
+
+def test_sample_rejects_tiny_p_before_any_draw(capsys, monkeypatch):
+    monkeypatch.setattr(sampler, "substream", _no_work)
+    code, out, err = run_cli(capsys, "sample", "--p", "1e-12", "--seed", "0")
+    assert code == 2 and out == ""
+    assert err == TINY_P_ERROR
+
+
+def test_sweep_rejects_tiny_p_before_any_trial(capsys, monkeypatch):
+    monkeypatch.setattr(harness, "run_trials", _no_work)
+    code, out, err = run_cli(
+        capsys, "sweep", "--p-list", "0.5,1e-12", "--trials", "3", "--seed", "0"
+    )
+    assert code == 2 and out == ""
+    assert err == TINY_P_ERROR
 
 
 def test_sumset_line(capsys):

@@ -32,7 +32,7 @@ from randsemigroup.harness import (
     _prime_window,
     resolve_workers,
 )
-from randsemigroup.rng import substream
+from randsemigroup.rng import TAG_EVENTS, substream
 from randsemigroup.sumsets import is_prime
 
 
@@ -283,6 +283,17 @@ def test_event_trial_determinism_and_nesting():
         assert out.d1 == (out.q is not None)
         if not out.d1:
             assert out.small_generator_count == 0 and out.max_apery is None
+
+
+def test_event_selection_draws_the_whole_window_then_stops():
+    # one draw per integer of 1..N, so the d3 subset draw starts at draw N + 1
+    p = 0.05
+    _, n_max, _ = _prime_window(p)
+    fresh = substream(7, TAG_EVENTS, 2)
+    draws = [fresh.random() for _ in range(n_max + 1)]
+    rng, selected = harness._selection(p, 7, 2)
+    assert selected == [n for n in range(1, n_max + 1) if draws[n - 1] < p]
+    assert rng.random() == draws[n_max]
 
 
 def test_estimate_event_failures_shape():

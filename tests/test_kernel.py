@@ -2,7 +2,9 @@
 
 The oracles read only ``membership_table``, the bit-packed closure scan,
 never a residue table: class minima are the least member of each class,
-Frobenius numbers the largest zero bit below a Schur bound.
+Frobenius numbers the largest zero bit below a Schur bound.  The samplers
+are also checked against per-integer reference loops: one draw, one
+selection test and one stop test per integer.
 """
 
 import math
@@ -14,16 +16,20 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from randsemigroup import (  # noqa: E402
+    ErConfig,
     NotCofiniteError,
+    SampleTrace,
     apery_set,
     frobenius,
     genus,
     membership_table,
     minimal_generators,
     normalize_generators,
+    sample_bounded,
     sample_unconstrained,
 )
-from randsemigroup.semigroup import extend_minima  # noqa: E402
+from randsemigroup.rng import TAG_SAMPLE, substream  # noqa: E402
+from randsemigroup.semigroup import GeneratorSet, extend_minima  # noqa: E402
 
 elements = st.lists(st.integers(1, 60), min_size=1, max_size=6)
 cofinite = elements.filter(lambda els: math.gcd(*els) == 1)
@@ -34,8 +40,8 @@ def brute_minima(m, els):
     limit = m * max([m, *els])  # a class minimum needs fewer than m summands
     bits = membership_table(normalize_generators([m, *els]), limit).bits
     minima = [math.inf] * m
-    for x in range(limit, -1, -1):
-        if (bits >> x) & 1:
+    for x, bit in enumerate(reversed(bin(bits))):  # x ascending; the "0b" prefix ends it
+        if bit == "1" and minima[x % m] == math.inf:
             minima[x % m] = x
     return minima
 
@@ -109,6 +115,45 @@ def test_sampler_frobenius_matches_gap_scan(p, seed, trial):
     assert trace.stop_index == max(last, brute_frobenius(els)) + 1
     if len(els) > 1:
         assert brute_frobenius(els[:-1]) >= last
+
+
+def reference_bounded(p, M, seed, trial):
+    rng = substream(seed, TAG_SAMPLE, trial)
+    selected = []
+    g = 0
+    for n in range(1, M + 1):
+        if rng.random() < p:
+            selected.append(n)
+            g = math.gcd(g, n)
+    return GeneratorSet(tuple(selected), g)
+
+
+def reference_unconstrained(p, seed, trial):
+    rng = substream(seed, TAG_SAMPLE, trial)
+    selected = []
+    minima = []
+    frob = math.inf
+    n = 0
+    while True:
+        n += 1
+        if frob < n:
+            return SampleTrace(GeneratorSet(tuple(selected), 1), n, n - 1)
+        if rng.random() < p:
+            selected.append(n)
+            if minima:
+                extend_minima(minima, n)
+            else:
+                minima = [0] + [math.inf] * (n - 1)
+            frob = max(minima) - selected[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(0.001, 0.999), st.integers(0, 2**32), st.integers(0, 50), st.integers(1, 2000))
+@example(0.001, 0, 0, 1)
+@example(0.999, 0, 0, 2000)
+def test_samplers_match_per_integer_reference_loops(p, seed, trial, M):
+    assert sample_bounded(ErConfig(p, M, seed), trial) == reference_bounded(p, M, seed, trial)
+    assert sample_unconstrained(p, seed, trial) == reference_unconstrained(p, seed, trial)
 
 
 @settings(max_examples=150, deadline=None)

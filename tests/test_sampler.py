@@ -11,7 +11,12 @@ from randsemigroup import (
     sample_bounded,
     sample_unconstrained,
 )
-from randsemigroup.sampler import _sample_unconstrained_from
+from randsemigroup.rng import TAG_SAMPLE, substream
+from randsemigroup.sampler import (
+    _sample_unconstrained_from,
+    check_unconstrained_probability,
+    select,
+)
 
 
 class ScriptedStream:
@@ -29,7 +34,7 @@ class ScriptedStream:
 
 def test_stopping_rule_select_two_then_three():
     # skip 1, take 2 and 3; condition (gcd 1, F=1 < n) first true at n=4
-    trace = _sample_unconstrained_from(ScriptedStream([0.9, 0.0, 0.0]), 0.5, 100)
+    trace = _sample_unconstrained_from(ScriptedStream([0.9, 0.0, 0.0]), 0.5)
     assert trace.gens.elements == (2, 3)
     assert trace.stop_index == 4
     assert trace.uniform_draws_consumed == 3
@@ -37,17 +42,38 @@ def test_stopping_rule_select_two_then_three():
 
 def test_stopping_rule_selects_one_first():
     # {1} gives the gap-free semigroup (F = -1); stop at n = 2
-    trace = _sample_unconstrained_from(ScriptedStream([0.0]), 0.5, 100)
+    trace = _sample_unconstrained_from(ScriptedStream([0.0]), 0.5)
     assert trace.gens.elements == (1,)
     assert trace.stop_index == 2
     assert trace.uniform_draws_consumed == 1
 
 
-def test_iteration_cap_diagnostic():
-    # only even numbers selected: gcd never reaches 1
+def test_gcd_phase_failsafe():
+    # only 2 and 4 kept, then nothing: the gcd stays 2, and the walk gives up
+    # after ceil(64/p) = 128 integers without a keep
     stream = ScriptedStream([0.9, 0.0, 0.9, 0.0])
-    with pytest.raises(RuntimeError, match="stopping rule not reached within 12"):
-        _sample_unconstrained_from(stream, 0.5, 12)
+    with pytest.raises(
+        RuntimeError,
+        match=r"no integer kept in the 128 integers after 4 while the gcd "
+        r"of the 2 kept so far is 2 \(p=0.5\)",
+    ):
+        _sample_unconstrained_from(stream, 0.5)
+    assert stream.i == 4 + 128
+
+
+@pytest.mark.parametrize("p", [0.001, 0.5, 0.999999])
+def test_select_draws_once_per_integer_and_never_ahead(p):
+    n = 500
+    fresh = substream(5, TAG_SAMPLE, 3)
+    draws = [fresh.random() for _ in range(n + 1)]
+    rng = substream(5, TAG_SAMPLE, 3)
+    kept = list(select(rng, p, 1, n + 1))
+    assert kept == [k for k in range(1, n + 1) if draws[k - 1] < p]
+    assert rng.random() == draws[n]
+    if kept:  # stopped after its first keep, the stream sits just past that draw
+        rng = substream(5, TAG_SAMPLE, 3)
+        assert next(select(rng, p, 1, n + 1)) == kept[0]
+        assert rng.random() == draws[kept[0]]
 
 
 def test_unconstrained_determinism_and_trial_separation():
@@ -141,6 +167,19 @@ def test_invalid_p_rejected(bad_p):
         sample_unconstrained(bad_p, 1, 0)
     with pytest.raises(ValueError):
         ErConfig(bad_p, 10, 1)
+
+
+def test_unconstrained_rejects_p_below_two_to_minus_24():
+    with pytest.raises(ValueError) as info:
+        sample_unconstrained(1e-12, 0, 0)
+    assert str(info.value) == (
+        "unconstrained sampling needs p >= 2^-24 = 5.96046e-08, got p = 1e-12; "
+        "use a larger p or a bound M"
+    )
+    check_unconstrained_probability(2.0**-24)  # the limit itself is allowed
+    with pytest.raises(ValueError, match="needs p >= 2"):
+        check_unconstrained_probability(math.nextafter(2.0**-24, 0.0))
+    assert sample_bounded(ErConfig(1e-12, 10, 0), 0).elements == ()  # bounded: any p
 
 
 def test_invalid_m_rejected():

@@ -158,7 +158,7 @@ def test_count_subsets_methods_agree_and_z_free():
             closed = count_subsets_with_sum(q, k, 0, method="closed")
             assert closed == math.comb(q, k) // q
             for z in range(q):
-                assert count_subsets_with_sum(q, k, z, method="brute") == closed
+                assert count_subsets_with_sum(q, k, z) == closed
 
 
 def test_count_subsets_errors():
