@@ -32,7 +32,8 @@ from itertools import compress
 from typing import Literal, Optional, Sequence
 
 # WORKERS_ENV_VAR is imported so that harness.WORKERS_ENV_VAR keeps resolving
-from .rng import TAG_EVENTS, WORKERS_ENV_VAR, randbelow, resolve_workers, run_trials, substream
+from .rng import TAG_EVENTS, WORKERS_ENV_VAR, check_size, randbelow, resolve_workers
+from .rng import run_trials, substream
 from .sampler import ErConfig, check_probability, check_unconstrained_probability
 from .sampler import sample_bounded, sample_unconstrained, select
 from .semigroup import (
@@ -233,33 +234,39 @@ def run_sweep(
 ) -> list[SweepRow]:
     """One SweepRow per p, processed and returned in descending p order.
 
-    M=None samples the unconstrained model (every p must be >= 2^-24,
-    checked before any trial runs); an integer M (or "auto",
+    M=None samples the unconstrained model; an integer M (or "auto",
     meaning ceil(50/p) per p) samples the bounded one, where draws with
     gcd != 1 are excluded from the means and counted in excluded_trials.
+    Before any trial runs, p_list must be nonempty and every p and its
+    per-p size are checked: the bound M, or the unconstrained walk span
+    ceil(64/p), must not exceed the size limit (``rng.check_size``).
     Every trial at every p runs in one ``run_trials`` call; per-metric
     tallies are exact integer sums folded in trial order, so results are
     identical for every worker count.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    check = check_probability if M is not None else check_unconstrained_probability
-    for p in p_list:
-        check(p)
+    if not p_list:
+        raise ValueError("p_list must hold at least one p")
     if M is not None and M != "auto" and M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
-    workers = resolve_workers(workers)
-
+    check = check_probability if M is not None else check_unconstrained_probability
     cells = []
     for p in sorted(set(p_list), reverse=True):
+        check(p)
         bound = math.ceil(50 / p) if M == "auto" else M
+        if bound is not None:
+            check_size(f"M = ceil(50/p) at p = {p}" if M == "auto" else "M", bound)
+        cells.append((p, bound))
+    workers = resolve_workers(workers)
+
+    for p, bound in cells:
         if bound is not None and bound < 10 / p:
             warnings.warn(
                 f"M = {bound} is below 10/p = {10 / p:.0f} at p = {p}; "
                 "bounded-model means will be badly truncated",
                 stacklevel=2,
             )
-        cells.append((p, bound))
     jobs = [(p, bound, master_seed, t) for p, bound in cells for t in range(trials)]
     results = run_trials(_sweep_trial, jobs, workers)
 
@@ -405,15 +412,13 @@ class EventOutcome:
     max_apery: Optional[int]
 
 
-_MAX_WINDOW = 1 << 24  # the window's sieve and each trial's draws are O(N)
-
-
 @lru_cache(maxsize=None)
 def _prime_window(p: float) -> tuple[float, int, frozenset[int]]:
     """(f(p), examination cutoff N = ceil(6 f(p)), primes in (f, 6f]).
 
-    The primes come from a sieve of Eratosthenes up to N, which must not
-    exceed 2^24 (a smaller p is rejected before any allocation).
+    The primes come from a sieve of Eratosthenes up to N, and each trial
+    draws N uniforms, so N is held to the size limit (``rng.check_size``)
+    before the sieve is allocated.
     """
     f = prime_window_base(p)
     if f < 2:
@@ -421,11 +426,7 @@ def _prime_window(p: float) -> tuple[float, int, frozenset[int]]:
             f"prime window needs f(p) >= 2 but f({p}) = {f:.3f}; use a smaller p"
         )
     n_max = math.ceil(6 * f)
-    if n_max > _MAX_WINDOW:
-        raise ValueError(
-            f"prime window for p = {p} needs ceil(6 f(p)) = {n_max} integers, "
-            f"above the limit {_MAX_WINDOW}; use a larger p"
-        )
+    check_size(f"prime window ceil(6 f(p)) at p = {p}", n_max)
     sieve = bytearray([1]) * (n_max + 1)
     sieve[:2] = b"\0\0"
     for i in range(2, math.isqrt(n_max) + 1):

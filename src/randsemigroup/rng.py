@@ -18,6 +18,8 @@ and platforms for a fixed seed.  Bounded uniform integers go through
 
 ``run_trials`` is the one trial engine behind sweeps, event estimates and
 sumset coverage; it returns results in trial order for any worker count.
+``check_size`` is the one size limit: every list, sieve or walk whose
+length an input sets is checked against ``MAX_SIZE`` before it is made.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ from typing import Callable, Optional, Sequence
 _MASK64 = (1 << 64) - 1
 
 WORKERS_ENV_VAR = "RANDSEMIGROUP_WORKERS"
+
+MAX_SIZE = 1 << 24  # the longest table, window or walk an input may ask for
 
 # Stream tags keep unrelated draw sequences apart.  Arbitrary but frozen.
 TAG_SAMPLE = 0x5347454E53414D50    # generator-set sampling (bounded and unconstrained share it)
@@ -80,6 +84,12 @@ def resolve_workers(workers: Optional[int] = None) -> int:
     if workers < 1:
         raise ValueError(f"worker count must be >= 1, got {workers}")
     return workers
+
+
+def check_size(what: str, n: int) -> None:
+    """Reject an input that sets an O(n) list, sieve or walk with n > MAX_SIZE."""
+    if n > MAX_SIZE:
+        raise ValueError(f"{what} is {n}, above the size limit 2^24 = {MAX_SIZE}")
 
 
 def run_trials(fn: Callable, args: Sequence[tuple], workers: Optional[int] = None) -> list:

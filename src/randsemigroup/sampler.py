@@ -19,9 +19,11 @@ the gcd reaches 1.  F changes only at a keep, so the walk goes from keep
 to keep, drawing only while n <= F, and tests the stop once per keep: the
 stop index is max(last keep, F) + 1.  While the gcd exceeds 1 it fails
 safe instead of walking forever: if ceil(64/p) consecutive integers bring
-no keep (probability about e^-64) it raises ``RuntimeError``.  p below
-2^-24 is rejected up front, since a walk then covers far more than 2^24
-integers.
+no keep (probability about e^-64) it raises ``RuntimeError``.  That span is
+held to the package's one size limit (``rng.check_size``), so p must
+be at least 2^-18, checked before any draw.  The first keep, whose residue
+table the walk builds and ``invariants`` rebuilds, then lies within the
+span, so no table of either exceeds the limit.
 """
 
 from __future__ import annotations
@@ -31,10 +33,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterator
 
-from .rng import TAG_SAMPLE, substream
+from .rng import TAG_SAMPLE, check_size, substream
 from .semigroup import GeneratorSet, extend_minima
-
-_MIN_UNCONSTRAINED_P = 2.0**-24
 
 
 def check_probability(p: float) -> None:
@@ -44,13 +44,9 @@ def check_probability(p: float) -> None:
 
 
 def check_unconstrained_probability(p: float) -> None:
-    """``check_probability``, and reject p < 2^-24 for the unconstrained model."""
+    """``check_probability``, and hold the fail-safe span ceil(64/p) to the size limit."""
     check_probability(p)
-    if p < _MIN_UNCONSTRAINED_P:
-        raise ValueError(
-            f"unconstrained sampling needs p >= 2^-24 = {_MIN_UNCONSTRAINED_P:.6g}, "
-            f"got p = {p}; use a larger p or a bound M"
-        )
+    check_size(f"unconstrained walk span ceil(64/p) at p = {p}", math.ceil(64 / p))
 
 
 def select(rng: random.Random, p: float, start: int, stop: int) -> Iterator[int]:
@@ -79,6 +75,7 @@ class ErConfig:
         check_probability(self.p)
         if self.M < 1:
             raise ValueError(f"M must be >= 1, got {self.M}")
+        check_size("M", self.M)
 
 
 @dataclass(frozen=True)

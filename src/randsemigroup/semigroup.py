@@ -34,6 +34,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
+from .rng import check_size
+
 
 class InvalidGeneratorError(ValueError):
     """A proposed generator is not a positive integer."""
@@ -169,10 +171,14 @@ def apery_set(gens: GeneratorSet, m: int) -> AperyTable:
     O(l * len(gens) + m): every generator is folded into the table w mod l
     with ``extend_minima``; for m != l, the members x = r (mod l) with
     x - m outside <A> are exactly range(w[r], w[(r - m) % l] + m, l), and
-    these m values are the minima mod m.
+    these m values are the minima mod m.  Both tables are O(l) and O(m)
+    lists, so l and m are held to the size limit before either is made.
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
+    if gens.elements:
+        check_size("least generator", gens.elements[0])
+    check_size("m", m)
     if math.gcd(gens.gcd, m) != 1:
         raise NotCofiniteError(
             f"gcd(generators + {{{m}}}) = {math.gcd(gens.gcd, m)} != 1; "

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .rng import TAG_COVERAGE, randbelow, run_trials, substream
+from .rng import TAG_COVERAGE, check_size, randbelow, run_trials, substream
 
 # Deterministic Miller-Rabin witnesses, valid for all n < 2^64.
 _MR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
@@ -202,7 +202,8 @@ def coverage_failure_bound(q: int, b: float) -> float:
 
 
 def _summands(q: int, b: float) -> int:
-    """k = ceil(b*log2 q) for prime q and finite b > 0 with s = 2k <= q."""
+    """k = ceil(b*log2 q) for prime q within the size limit, finite b > 0, s = 2k <= q."""
+    check_size("q", q)
     if not is_prime(q):
         raise ValueError(f"q = {q} must be prime")
     if not (math.isfinite(b) and b > 0):

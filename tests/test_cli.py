@@ -2,7 +2,15 @@
 
 import pytest
 
-from randsemigroup import harness, run_sweep, sample_unconstrained, sampler, sweep_csv
+from randsemigroup import (
+    harness,
+    run_sweep,
+    sample_unconstrained,
+    sampler,
+    semigroup,
+    sumsets,
+    sweep_csv,
+)
 from randsemigroup.cli import main
 
 
@@ -61,14 +69,15 @@ def test_sample_rejects_bad_probability():
         assert exc.value.code == 2
 
 
+SIZE_LIMIT = "above the size limit 2^24 = 16777216\n"
+
 TINY_P_ERROR = (
-    "error: unconstrained sampling needs p >= 2^-24 = 5.96046e-08, got p = 1e-12; "
-    "use a larger p or a bound M\n"
+    "error: unconstrained walk span ceil(64/p) at p = 1e-12 is 64000000000000, " + SIZE_LIMIT
 )
 
 
 def _no_work(*args, **kwargs):
-    raise AssertionError("work started before the tiny p was rejected")
+    raise AssertionError("work started before the input was rejected")
 
 
 def test_sample_rejects_tiny_p_before_any_draw(capsys, monkeypatch):
@@ -121,10 +130,56 @@ def test_sumset_rejects_b_too_large_for_q(capsys):
     assert err.startswith("error: subset size") and "exceeds q" in err
 
 
-def test_sumset_rejects_oversized_modulus():
-    with pytest.raises(SystemExit) as exc:
-        main(["sumset", "--q", str((1 << 24) + 1), "--trials", "1", "--seed", "0"])
-    assert exc.value.code == 2
+def test_sumset_rejects_oversized_modulus(capsys):
+    code, out, err = run_cli(
+        capsys, "sumset", "--q", str((1 << 24) + 1), "--trials", "1", "--seed", "0"
+    )
+    assert code == 2 and out == ""
+    assert err == "error: q is 16777217, " + SIZE_LIMIT
+
+
+@pytest.mark.parametrize(
+    "argv, work, message",
+    [
+        (
+            ["invariants", "--gens", "1000000000,1000000001"],
+            [(semigroup, "extend_minima")],
+            "least generator is 1000000000",
+        ),
+        (
+            ["sample", "--p", "0.5", "--seed", "0", "--M", "100000000000"],
+            [(sampler, "substream")],
+            "M is 100000000000",
+        ),
+        (
+            ["sweep", "--p-list", "0.5", "--M", "100000000000", "--trials", "1", "--seed", "0"],
+            [(harness, "run_trials")],
+            "M is 100000000000",
+        ),
+        (
+            ["sweep", "--p-list", "1e-9", "--M", "auto", "--trials", "1", "--seed", "0"],
+            [(harness, "run_trials")],
+            "M = ceil(50/p) at p = 1e-09 is 50000000000",
+        ),
+        (
+            ["sumset", "--q", "16777259", "--trials", "1", "--seed", "0"],
+            [(sumsets, "is_prime"), (sumsets, "run_trials")],
+            "q is 16777259",  # the least prime above 2^24
+        ),
+        (
+            ["sample", "--p", "1e-6", "--seed", "0"],
+            [(sampler, "substream")],
+            "unconstrained walk span ceil(64/p) at p = 1e-06 is 64000000",
+        ),
+    ],
+    ids=["invariants-gens", "sample-M", "sweep-M", "sweep-M-auto", "sumset-q", "sample-p"],
+)
+def test_oversized_input_fails_before_any_work(capsys, monkeypatch, argv, work, message):
+    for module, name in work:
+        monkeypatch.setattr(module, name, _no_work)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}, {SIZE_LIMIT}"
 
 
 def test_sweep_stdout_matches_library(capsys):
@@ -159,6 +214,13 @@ def test_sweep_bounded_modes(capsys):
     )
     assert code == 0
     assert auto_out == sweep_csv(run_sweep([0.4], 6, 9, M="auto"), 9, "bounded(M=auto)")
+
+
+def test_sweep_rejects_empty_p_list(capsys, monkeypatch):
+    monkeypatch.setattr(harness, "run_trials", _no_work)
+    code, out, err = run_cli(capsys, "sweep", "--p-list", ",", "--trials", "3", "--seed", "0")
+    assert code == 2 and out == ""
+    assert err == "error: p_list must hold at least one p\n"
 
 
 def test_sweep_rejects_bad_bound():
@@ -202,10 +264,7 @@ def test_events_rejects_undefined_window(capsys):
 def test_events_rejects_tiny_p_before_any_work(capsys):
     code, out, err = run_cli(capsys, "events", "--p", "1e-5", "--trials", "1", "--seed", "0")
     assert code == 2 and out == ""
-    assert err == (
-        "error: prime window for p = 1e-05 needs ceil(6 f(p)) = 79528472 integers, "
-        "above the limit 16777216; use a larger p\n"
-    )
+    assert err == "error: prime window ceil(6 f(p)) at p = 1e-05 is 79528472, " + SIZE_LIMIT
 
 
 def test_bounds_lines(capsys):

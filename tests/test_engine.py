@@ -1,10 +1,11 @@
-"""The trial engine: trial order, pool size, and the worker setting."""
+"""The trial engine and its shared input checks: trial order, pool size, the
+worker setting and the size limit."""
 
 import pytest
 
 from randsemigroup import rng
 from randsemigroup.cli import main
-from randsemigroup.rng import WORKERS_ENV_VAR, run_trials
+from randsemigroup.rng import MAX_SIZE, WORKERS_ENV_VAR, check_size, run_trials
 
 
 class FakeExecutor:
@@ -52,3 +53,11 @@ def test_non_integer_worker_setting_exits_2(argv, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == "error: RANDSEMIGROUP_WORKERS must be an integer, got 'abc'\n"
+
+
+def test_size_limit_accepts_two_to_the_24_and_no_more():
+    assert MAX_SIZE == 1 << 24
+    check_size("n", 1 << 24)
+    with pytest.raises(ValueError) as info:
+        check_size("n", (1 << 24) + 1)
+    assert str(info.value) == "n is 16777217, above the size limit 2^24 = 16777216"

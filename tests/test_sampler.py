@@ -173,13 +173,21 @@ def test_unconstrained_rejects_p_below_two_to_minus_24():
     with pytest.raises(ValueError) as info:
         sample_unconstrained(1e-12, 0, 0)
     assert str(info.value) == (
-        "unconstrained sampling needs p >= 2^-24 = 5.96046e-08, got p = 1e-12; "
-        "use a larger p or a bound M"
+        "unconstrained walk span ceil(64/p) at p = 1e-12 is 64000000000000, "
+        "above the size limit 2^24 = 16777216"
     )
-    check_unconstrained_probability(2.0**-24)  # the limit itself is allowed
-    with pytest.raises(ValueError, match="needs p >= 2"):
-        check_unconstrained_probability(math.nextafter(2.0**-24, 0.0))
+    check_unconstrained_probability(2.0**-18)  # the floor itself: ceil(64/p) = 2^24
+    for below in (math.nextafter(2.0**-18, 0.0), 2.0**-24):
+        with pytest.raises(ValueError, match="above the size limit"):
+            check_unconstrained_probability(below)
     assert sample_bounded(ErConfig(1e-12, 10, 0), 0).elements == ()  # bounded: any p
+
+
+def test_bounded_model_rejects_m_above_size_limit():
+    assert ErConfig(0.5, 1 << 24, 0).M == 1 << 24
+    with pytest.raises(ValueError) as info:
+        ErConfig(0.5, (1 << 24) + 1, 0)
+    assert str(info.value) == "M is 16777217, above the size limit 2^24 = 16777216"
 
 
 def test_invalid_m_rejected():

@@ -7,6 +7,7 @@ closure, and the gap invariants from the closure's complement.
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -142,6 +143,25 @@ def test_apery_errors():
         apery_set(normalize_generators([3, 5]), 4)
     with pytest.raises(ValueError):
         apery_set(normalize_generators([3, 5]), 0)
+
+
+@pytest.mark.parametrize(
+    "gens, m, what",
+    [
+        ([(1 << 24) + 1, (1 << 24) + 2], (1 << 24) + 1, "least generator"),
+        ([2, 3], (1 << 24) + 1, "m"),
+    ],
+)
+def test_apery_rejects_oversized_tables_before_allocating(gens, m, what):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as info:
+            apery_set(normalize_generators(gens), m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == f"{what} is 16777217, above the size limit 2^24 = 16777216"
+    assert peak < 1 << 20  # a table of 2^24 entries would take 128 MiB
 
 
 def test_frobenius_frozen_examples():

@@ -194,6 +194,14 @@ def test_coverage_trial_determinism_and_errors():
             run_coverage_experiment(101, bad_b, 3, 1)
 
 
+def test_coverage_rejects_modulus_above_size_limit():
+    with pytest.raises(ValueError) as info:
+        run_coverage_experiment(16777259, 3, 1, 0)  # the least prime above 2^24
+    assert str(info.value) == "q is 16777259, above the size limit 2^24 = 16777216"
+    with pytest.raises(ValueError, match="above the size limit"):
+        coverage_trial(16777259, 3, 0, 0)
+
+
 def test_full_set_always_covers():
     assert k_fold_sumset(CyclicSubset.full(7), 3).is_full
     assert k_fold_sumset(CyclicSubset.full(101), 20).is_full
