@@ -32,17 +32,17 @@ from itertools import compress
 from typing import Literal, Optional, Sequence
 
 # WORKERS_ENV_VAR is imported so that harness.WORKERS_ENV_VAR keeps resolving
-from .rng import TAG_EVENTS, WORKERS_ENV_VAR, check_size, randbelow, resolve_workers
-from .rng import run_trials, substream
-from .sampler import ErConfig, check_probability, check_unconstrained_probability
-from .sampler import sample_bounded, sample_unconstrained, select
+from .rng import TAG_EVENTS, TAG_SAMPLE, WORKERS_ENV_VAR, check_size, randbelow
+from .rng import resolve_workers, run_trials, substream
+from .sampler import check_probability, check_unconstrained_probability, select, walk
+# invariants is imported so that harness.invariants keeps resolving
 from .semigroup import (
-    GeneratorSet,
     SemigroupInvariants,
     apery_set,
     frobenius,
     invariants,
     normalize_generators,
+    table_invariants,
     wilf_check,
 )
 
@@ -202,16 +202,11 @@ def _check_pointwise(inv: SemigroupInvariants) -> None:
 def _sweep_trial(
     p: float, bound: Optional[int], master_seed: int, trial_index: int
 ) -> Optional[tuple]:
-    if bound is None:
-        trace = sample_unconstrained(p, master_seed, trial_index)
-        gens: GeneratorSet = trace.gens
-        stop = trace.stop_index
-    else:
-        gens = sample_bounded(ErConfig(p, bound, master_seed), trial_index)
-        stop = None
-        if gens.gcd != 1:
-            return None
-    inv = invariants(gens)
+    walked = walk(substream(master_seed, TAG_SAMPLE, trial_index), p, bound)
+    if walked is None:
+        return None  # bounded draw with gcd != 1: excluded
+    _, minimal, minima, stop = walked
+    inv = table_invariants(minima, tuple(minimal))
     _check_pointwise(inv)
     return inv.frobenius, inv.genus, inv.embedding_dimension, stop, wilf_check(inv).holds
 
@@ -237,9 +232,14 @@ def run_sweep(
     M=None samples the unconstrained model; an integer M (or "auto",
     meaning ceil(50/p) per p) samples the bounded one, where draws with
     gcd != 1 are excluded from the means and counted in excluded_trials.
+    Both models run one keep-to-keep walk per trial (``sampler.walk``) and
+    read F, g and e off its residue table and minimal generators; nothing
+    is refolded.  A bounded trial stops at its stop index, past which no
+    integer changes the semigroup, rather than drawing all of 1..M.
     Before any trial runs, p_list must be nonempty and every p and its
     per-p size are checked: the bound M, or the unconstrained walk span
-    ceil(64/p), must not exceed the size limit (``rng.check_size``).
+    ceil(64/p), must not exceed the size limit (``rng.check_size``), nor
+    may the job count, trials times the number of distinct p.
     Every trial at every p runs in one ``run_trials`` call; per-metric
     tallies are exact integer sums folded in trial order, so results are
     identical for every worker count.
@@ -258,6 +258,7 @@ def run_sweep(
         if bound is not None:
             check_size(f"M = ceil(50/p) at p = {p}" if M == "auto" else "M", bound)
         cells.append((p, bound))
+    check_size("trials x distinct p", trials * len(cells))
     workers = resolve_workers(workers)
 
     for p, bound in cells:
@@ -576,6 +577,7 @@ def estimate_event_failures(
     small-generator check, from one walk over the trials."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    check_size("trials", trials)
     _prime_window(p)  # reject an undefined window before any trial runs
     results = run_trials(_event_trial, [(p, master_seed, t) for t in range(trials)])
     d1 = [outcome for outcome, _ in results if outcome.d1]

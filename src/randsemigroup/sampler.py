@@ -7,23 +7,29 @@ seed and trial index, raising p can only add generators (coupling), and
 the bounded and unconstrained samplers agree on any shared prefix of
 integers because they consume the same stream.
 
-The unconstrained sampler has no cutoff M, so it must stop on its own.
-It stops at the first n (checked before examining n) such that the set
-selected so far has gcd 1 and Frobenius number F < n.  From that point on,
-every unexamined integer is already a member of the generated semigroup,
-so no later selection could change the semigroup or any invariant; the
-returned generators determine everything.  The sampler keeps the
-residue-class minima modulo its first selected integer m and folds in each
-later one with ``extend_minima``, so F = max(minima) - m: infinite until
-the gcd reaches 1.  F changes only at a keep, so the walk goes from keep
-to keep, drawing only while n <= F, and tests the stop once per keep: the
-stop index is max(last keep, F) + 1.  While the gcd exceeds 1 it fails
-safe instead of walking forever: if ceil(64/p) consecutive integers bring
-no keep (probability about e^-64) it raises ``RuntimeError``.  That span is
-held to the package's one size limit (``rng.check_size``), so p must
-be at least 2^-18, checked before any draw.  The first keep, whose residue
-table the walk builds and ``invariants`` rebuilds, then lies within the
-span, so no table of either exceeds the limit.
+One walk serves both models.  ``walk`` goes from keep to keep, keeping
+the residue-class minima modulo its first keep m and folding in each
+later keep with ``extend_minima``, so F = max(minima) - m: infinite until
+the gcd reaches 1.  Keeps arrive in increasing order, and a sum of larger
+integers cannot reach a smaller one, so a keep that is not yet a member is
+exactly a minimal generator; the walk reports those too, and sweeps read
+F, g and e off its table (``semigroup.table_invariants``) instead of
+rebuilding it with ``invariants``.  F changes only at such a keep, and
+every n past F is already a member, so the walk draws only while n <= F
+and tests the stop once per keep: the stop index max(last keep, F) + 1 is
+the first n (checked before examining n) at which the keeps so far have
+gcd 1 and F < n, and no later keep could change the semigroup.  The
+unconstrained model has no cutoff M, so it ends there.  With a bound M
+the walk also draws no further than M, and returns None when the keeps in
+1..M have gcd > 1; ``sample_bounded`` still draws all of 1..M and returns
+that raw draw.  While the gcd exceeds 1 the unconstrained walk fails safe
+instead of walking forever: if ceil(64/p) consecutive integers bring no
+keep (probability about e^-64) it raises ``RuntimeError``.  That span is
+held to the package's one size limit (``rng.check_size``), so p must be at
+least 2^-18, checked before any draw.  The first keep, which sizes the
+walk's residue table and the one ``invariants`` builds for a
+``sample_unconstrained`` draw, then lies within the span, so neither
+table exceeds the limit.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Optional
 
 from .rng import TAG_SAMPLE, check_size, substream
 from .semigroup import GeneratorSet, extend_minima
@@ -102,34 +108,45 @@ def sample_bounded(config: ErConfig, trial_index: int) -> GeneratorSet:
 def sample_unconstrained(p: float, master_seed: int, trial_index: int) -> SampleTrace:
     """One draw from the unconstrained model; terminates with probability 1."""
     check_unconstrained_probability(p)
-    rng = substream(master_seed, TAG_SAMPLE, trial_index)
-    return _sample_unconstrained_from(rng, p)
+    keeps, _, _, stop = walk(substream(master_seed, TAG_SAMPLE, trial_index), p)
+    return SampleTrace(GeneratorSet(tuple(keeps), 1), stop, stop - 1)
 
 
-def _sample_unconstrained_from(rng: random.Random, p: float) -> SampleTrace:
-    # Split out so tests can feed scripted streams to the stopping rule.
-    span = math.ceil(64 / p)
-    selected: list[int] = []
+def walk(rng: random.Random, p: float, M: Optional[int] = None) -> Optional[tuple]:
+    """Walk keep to keep: (keeps, minimal generators, minima, stop index).
+
+    minima are the residue-class minima modulo the first keep.  Without a
+    bound M the walk ends at the stop index; with one it also ends past M,
+    and returns None when the keeps in 1..M have gcd > 1.  The stream is an
+    argument so that tests can feed scripted streams to the stopping rule.
+    """
+    span = math.ceil(64 / p) if M is None else M  # bounded: no gap ends the walk before M
+    keeps: list[int] = []
+    minimal: list[int] = []
     minima: list = []
     frob = math.inf
     last = 0
     while True:
         end = last + 1 + span if frob == math.inf else frob + 1
-        n = next(select(rng, p, last + 1, end), None)
+        n = next(select(rng, p, last + 1, end if M is None else min(end, M + 1)), None)
         if n is None:
             break
-        selected.append(n)
-        if minima:
+        keeps.append(n)
+        last = n
+        if not minima:
+            minima = [0] + [math.inf] * (n - 1)
+        elif n < minima[n % len(minima)]:
             extend_minima(minima, n)
         else:
-            minima = [0] + [math.inf] * (n - 1)
-        frob = max(minima) - selected[0]
-        last = n
+            continue  # already a member: the table and F stay as they are
+        minimal.append(n)
+        frob = max(minima) - keeps[0]
     if frob == math.inf:
+        if M is not None:
+            return None
         raise RuntimeError(
             f"no integer kept in the {span} integers after {last} while the gcd "
-            f"of the {len(selected)} kept so far is {math.gcd(*selected)} (p={p}); "
+            f"of the {len(keeps)} kept so far is {math.gcd(*keeps)} (p={p}); "
             "a gap this long has probability about e^-64"
         )
-    stop = max(last, frob) + 1
-    return SampleTrace(GeneratorSet(tuple(selected), 1), stop, stop - 1)
+    return keeps, minimal, minima, max(last, frob) + 1

@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .rng import check_size
 
@@ -249,6 +249,13 @@ def invariants(gens: GeneratorSet) -> SemigroupInvariants:
         for a in gens.elements
         if not any(g < a and a - g >= w[(a - g) % m] for g in gens.elements)
     )
+    return table_invariants(w, minimal)
+
+
+def table_invariants(w: Sequence, minimal: tuple[int, ...]) -> SemigroupInvariants:
+    """Invariants read off the class minima w modulo a member m = len(w),
+    given the minimal generators: F = max(w) - m and g = sum(w[i] // m)."""
+    m = len(w)
     return SemigroupInvariants(
         max(w) - m, sum(e // m for e in w), len(minimal), GeneratorSet(minimal, 1)
     )

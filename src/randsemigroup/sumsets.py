@@ -255,6 +255,7 @@ def run_coverage_experiment(
     """Coverage trials run by ``run_trials``; failures counts non-covering draws."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    check_size("trials", trials)
     k = _summands(q, b)
     covered = run_trials(coverage_trial, [(q, b, master_seed, t) for t in range(trials)])
     failures = covered.count(False)

@@ -171,8 +171,26 @@ def test_sumset_rejects_oversized_modulus(capsys):
             [(sampler, "substream")],
             "unconstrained walk span ceil(64/p) at p = 1e-06 is 64000000",
         ),
+        (
+            ["sweep", "--p-list", "0.5", "--M", "10", "--trials", "1000000000", "--seed", "0"],
+            [(harness, "run_trials")],
+            "trials x distinct p is 1000000000",
+        ),
+        (
+            ["events", "--p", "0.3", "--trials", "1000000000", "--seed", "0"],
+            [(harness, "run_trials")],
+            "trials is 1000000000",
+        ),
+        (
+            ["sumset", "--q", "101", "--b", "1", "--trials", "1000000000", "--seed", "0"],
+            [(sumsets, "run_trials")],
+            "trials is 1000000000",
+        ),
     ],
-    ids=["invariants-gens", "sample-M", "sweep-M", "sweep-M-auto", "sumset-q", "sample-p"],
+    ids=[
+        "invariants-gens", "sample-M", "sweep-M", "sweep-M-auto", "sumset-q", "sample-p",
+        "sweep-trials", "events-trials", "sumset-trials",
+    ],
 )
 def test_oversized_input_fails_before_any_work(capsys, monkeypatch, argv, work, message):
     for module, name in work:

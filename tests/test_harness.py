@@ -129,6 +129,18 @@ def test_bounded_sweep_counts_partial_exclusions():
     assert row.mean_F is not None
 
 
+def test_sweep_job_count_is_trials_times_distinct_p(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("trials started before the job count was checked")
+
+    monkeypatch.setattr(harness, "run_trials", no_work)
+    with pytest.raises(ValueError) as info:  # three p listed, two distinct
+        run_sweep([0.5, 0.4, 0.5], (1 << 23) + 1, 0, M=10)
+    assert str(info.value) == (
+        "trials x distinct p is 16777218, above the size limit 2^24 = 16777216"
+    )
+
+
 def test_sweep_csv_format():
     rows = run_sweep([0.4, 0.2], 25, 31, M=60, workers=1)
     text = sweep_csv(rows, 31, "bounded(M=60)")

@@ -4,7 +4,8 @@ The oracles read only ``membership_table``, the bit-packed closure scan,
 never a residue table: class minima are the least member of each class,
 Frobenius numbers the largest zero bit below a Schur bound.  The samplers
 are also checked against per-integer reference loops: one draw, one
-selection test and one stop test per integer.
+selection test and one stop test per integer, and the walk that sweeps
+read F, g and e off is checked against ``invariants`` of the full draw.
 """
 
 import math
@@ -29,7 +30,13 @@ from randsemigroup import (  # noqa: E402
     sample_unconstrained,
 )
 from randsemigroup.rng import TAG_SAMPLE, substream  # noqa: E402
-from randsemigroup.semigroup import GeneratorSet, extend_minima  # noqa: E402
+from randsemigroup.sampler import walk  # noqa: E402
+from randsemigroup.semigroup import (  # noqa: E402
+    GeneratorSet,
+    extend_minima,
+    invariants,
+    table_invariants,
+)
 
 elements = st.lists(st.integers(1, 60), min_size=1, max_size=6)
 cofinite = elements.filter(lambda els: math.gcd(*els) == 1)
@@ -115,6 +122,29 @@ def test_sampler_frobenius_matches_gap_scan(p, seed, trial):
     assert trace.stop_index == max(last, brute_frobenius(els)) + 1
     if len(els) > 1:
         assert brute_frobenius(els[:-1]) >= last
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.floats(0.05, 0.9),
+    st.one_of(st.none(), st.integers(1, 60)),
+    st.integers(0, 2**32),
+    st.integers(0, 50),
+)
+@example(0.2, 12, 0, 7)  # draw (4, 11): F = 29 >= M
+@example(0.2, 12, 0, 8)  # draw (8, 12): gcd 4, excluded
+def test_walk_reads_the_invariants_of_the_full_draw(p, M, seed, trial):
+    walked = walk(substream(seed, TAG_SAMPLE, trial), p, M)
+    if M is None:
+        gens = sample_unconstrained(p, seed, trial).gens
+    else:
+        gens = sample_bounded(ErConfig(p, M, seed), trial)
+        assert (walked is None) == (gens.gcd != 1)
+        if walked is None:
+            return
+    keeps, minimal, minima, _ = walked
+    assert keeps == list(gens.elements[: len(keeps)])
+    assert table_invariants(minima, tuple(minimal)) == invariants(gens)
 
 
 def reference_bounded(p, M, seed, trial):

@@ -12,11 +12,7 @@ from randsemigroup import (
     sample_unconstrained,
 )
 from randsemigroup.rng import TAG_SAMPLE, substream
-from randsemigroup.sampler import (
-    _sample_unconstrained_from,
-    check_unconstrained_probability,
-    select,
-)
+from randsemigroup.sampler import check_unconstrained_probability, select, walk
 
 
 class ScriptedStream:
@@ -34,18 +30,22 @@ class ScriptedStream:
 
 def test_stopping_rule_select_two_then_three():
     # skip 1, take 2 and 3; condition (gcd 1, F=1 < n) first true at n=4
-    trace = _sample_unconstrained_from(ScriptedStream([0.9, 0.0, 0.0]), 0.5)
-    assert trace.gens.elements == (2, 3)
-    assert trace.stop_index == 4
-    assert trace.uniform_draws_consumed == 3
+    stream = ScriptedStream([0.9, 0.0, 0.0])
+    keeps, minimal, minima, stop = walk(stream, 0.5)
+    assert keeps == minimal == [2, 3]
+    assert minima == [0, 3]
+    assert stop == 4
+    assert stream.i == stop - 1 == 3
 
 
 def test_stopping_rule_selects_one_first():
     # {1} gives the gap-free semigroup (F = -1); stop at n = 2
-    trace = _sample_unconstrained_from(ScriptedStream([0.0]), 0.5)
-    assert trace.gens.elements == (1,)
-    assert trace.stop_index == 2
-    assert trace.uniform_draws_consumed == 1
+    stream = ScriptedStream([0.0])
+    keeps, minimal, minima, stop = walk(stream, 0.5)
+    assert keeps == minimal == [1]
+    assert minima == [0]
+    assert stop == 2
+    assert stream.i == stop - 1 == 1
 
 
 def test_gcd_phase_failsafe():
@@ -57,8 +57,29 @@ def test_gcd_phase_failsafe():
         match=r"no integer kept in the 128 integers after 4 while the gcd "
         r"of the 2 kept so far is 2 \(p=0.5\)",
     ):
-        _sample_unconstrained_from(stream, 0.5)
+        walk(stream, 0.5)
     assert stream.i == 4 + 128
+
+
+@pytest.mark.parametrize(
+    "us, M, keeps, stop, draws",
+    [
+        ([0.9, 0.9, 0.0, 0.9, 0.0], 20, [3, 5], 8, 7),  # F = 7 < M: draws end at F
+        ([0.9, 0.9, 0.0, 0.9, 0.0], 6, [3, 5], 8, 6),  # F = 7 >= M: draws end at M
+        ([0.9, 0.0, 0.0], 10, [2, 3], 4, 3),  # F = 1 is below the last keep
+    ],
+)
+def test_bounded_walk_stops_drawing_at_min_of_f_and_m(us, M, keeps, stop, draws):
+    stream = ScriptedStream(us)
+    walked = walk(stream, 0.5, M)
+    assert walked[0] == keeps and walked[3] == stop
+    assert stream.i == draws
+
+
+def test_bounded_walk_with_gcd_above_one_draws_to_m_and_is_excluded():
+    stream = ScriptedStream([0.9, 0.0, 0.9, 0.0])  # keeps 2 and 4 only
+    assert walk(stream, 0.5, 6) is None
+    assert stream.i == 6
 
 
 @pytest.mark.parametrize("p", [0.001, 0.5, 0.999999])
