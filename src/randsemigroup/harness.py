@@ -13,9 +13,9 @@ Four instrument groups share this module:
 Determinism contract: every trial draws from a substream keyed by
 (master_seed, stream tag, trial index); trials run on ``rng.run_trials``
 and per-metric tallies are merged in trial order.  Output therefore never
-depends on the worker count, which defaults to all cores and can be
-overridden with the RANDSEMIGROUP_WORKERS environment variable or a
-``workers=`` argument.
+depends on the worker count, which defaults to all cores (at most
+``rng.MAX_WORKERS``) and can be overridden with the RANDSEMIGROUP_WORKERS
+environment variable or a ``workers=`` argument.
 
 Proportions carry Wilson score intervals; conditional proportions with an
 empty conditioning set are reported as absent (None / empty CSV field),

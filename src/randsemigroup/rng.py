@@ -20,6 +20,8 @@ and platforms for a fixed seed.  Bounded uniform integers go through
 sumset coverage; it returns results in trial order for any worker count.
 ``check_size`` is the one size limit: every list, sieve or walk whose
 length an input sets is checked against ``MAX_SIZE`` before it is made.
+Likewise ``resolve_workers`` holds the worker count to ``MAX_WORKERS``
+before any pool starts, since a forking pool starts all its workers at once.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ _MASK64 = (1 << 64) - 1
 WORKERS_ENV_VAR = "RANDSEMIGROUP_WORKERS"
 
 MAX_SIZE = 1 << 24  # the longest table, window or walk an input may ask for
+MAX_WORKERS = 256  # the most worker processes a run may ask for
 
 # Stream tags keep unrelated draw sequences apart.  Arbitrary but frozen.
 TAG_SAMPLE = 0x5347454E53414D50    # generator-set sampling (bounded and unconstrained share it)
@@ -74,15 +77,16 @@ def randbelow(rng: random.Random, n: int) -> int:
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:
-    """Explicit argument, else RANDSEMIGROUP_WORKERS, else all cores."""
+    """Explicit argument, else RANDSEMIGROUP_WORKERS, else all cores (at
+    most MAX_WORKERS); a setting outside 1..MAX_WORKERS is rejected."""
     if workers is None:
         env = os.environ.get(WORKERS_ENV_VAR)
         try:
-            workers = int(env) if env else (os.cpu_count() or 1)
+            workers = int(env) if env else min(os.cpu_count() or 1, MAX_WORKERS)
         except ValueError:
             raise ValueError(f"{WORKERS_ENV_VAR} must be an integer, got {env!r}") from None
-    if workers < 1:
-        raise ValueError(f"worker count must be >= 1, got {workers}")
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ValueError(f"worker count must lie in 1..{MAX_WORKERS}, got {workers}")
     return workers
 
 

@@ -12,7 +12,8 @@ the residue-class minima modulo its first keep m and folding in each
 later keep with ``extend_minima``, so F = max(minima) - m: infinite until
 the gcd reaches 1.  Keeps arrive in increasing order, and a sum of larger
 integers cannot reach a smaller one, so a keep that is not yet a member is
-exactly a minimal generator; the walk reports those too, and sweeps read
+exactly a minimal generator: the walk takes that answer from
+``extend_minima``, as ``semigroup.invariants`` does, and sweeps read
 F, g and e off its table (``semigroup.table_invariants``) instead of
 rebuilding it with ``invariants``.  F changes only at such a keep, and
 every n past F is already a member, so the walk draws only while n <= F
@@ -135,9 +136,7 @@ def walk(rng: random.Random, p: float, M: Optional[int] = None) -> Optional[tupl
         last = n
         if not minima:
             minima = [0] + [math.inf] * (n - 1)
-        elif n < minima[n % len(minima)]:
-            extend_minima(minima, n)
-        else:
+        elif not extend_minima(minima, n):
             continue  # already a member: the table and F stay as they are
         minimal.append(n)
         frob = max(minima) - keeps[0]

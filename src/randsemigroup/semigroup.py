@@ -21,10 +21,14 @@ and x >= 0 is a member exactly when x >= entries[x mod m].  One kernel,
 ``extend_minima``, builds every such table modulo the least generator l: it
 folds one generator into the minima in a single O(l) round-robin pass, so
 batch tables and the sampler's incremental table are the same code, and no
-interval of integers is ever scanned.  The table for any other member m
-is read off the table mod l in O(m), since its entries are the members x
-with x - m not in <A>; it is never folded mod m.  ``membership_table`` is
-the independent bit-packed scan kept as a test oracle.
+interval of integers is ever scanned.  It reports whether the generator
+was new, and folded in increasing order a generator is minimal exactly
+when it is new (a sum of nonzero members equal to it uses only smaller
+generators), so one fold gives the table and the minimal generators.
+The table for any other member m is read off the table mod l in O(m),
+since its entries are the members x with x - m not in <A>; it is never
+folded mod m.  ``membership_table`` is the independent bit-packed scan
+kept as a test oracle.
 """
 
 from __future__ import annotations
@@ -129,20 +133,20 @@ class AperyTable:
     entries: tuple[int, ...]
 
 
-def extend_minima(entries: list, a: int) -> None:
+def extend_minima(entries: list, a: int) -> bool:
     """Fold generator a into the residue-class minima mod m = len(entries).
 
     In place; unreached classes hold math.inf.  Round-robin update of
     Böcker & Lipták (Algorithmica 2007): adding a links the classes into
     gcd(a mod m, m) cycles i -> (i + a) mod m.  Walking each cycle once from
     its current minimum, new = min(old, previous + a) settles every class,
-    since nothing can improve the cycle's minimum itself.  Returns at once
-    when a is already a member.
+    since nothing can improve the cycle's minimum itself.  Returns False at
+    once when a is already a member, and True once a is folded in.
     """
     m = len(entries)
     r = a % m
     if a >= entries[r]:
-        return
+        return False
     d = math.gcd(r, m)
     for c in range(d):
         cycle = entries[c::d]
@@ -160,6 +164,19 @@ def extend_minima(entries: list, a: int) -> None:
                 best = e
             else:
                 entries[i] = best
+    return True
+
+
+def _fold(gens: GeneratorSet) -> tuple[list, tuple[int, ...]]:
+    """Class minima modulo the least generator l, and the minimal generators.
+
+    The sorted generators are folded in one by one: l is minimal, and each
+    later one is minimal exactly when ``extend_minima`` finds it new.
+    """
+    least = gens.elements[0]
+    check_size("least generator", least)
+    w = [0] + [math.inf] * (least - 1)
+    return w, (least, *(a for a in gens.elements[1:] if extend_minima(w, a)))
 
 
 def apery_set(gens: GeneratorSet, m: int) -> AperyTable:
@@ -168,27 +185,21 @@ def apery_set(gens: GeneratorSet, m: int) -> AperyTable:
     Requires gcd(gens + {m}) = 1 (otherwise some class is unreachable and
     NotCofiniteError is raised) and m in <A> (otherwise the minima would
     not coincide with {x in <A> : x - m not in <A>}; ValueError).  Costs
-    O(l * len(gens) + m): every generator is folded into the table w mod l
-    with ``extend_minima``; for m != l, the members x = r (mod l) with
-    x - m outside <A> are exactly range(w[r], w[(r - m) % l] + m, l), and
-    these m values are the minima mod m.  Both tables are O(l) and O(m)
-    lists, so l and m are held to the size limit before either is made.
+    O(l * len(gens) + m): the table w mod l comes from ``_fold``; for
+    m != l, the members x = r (mod l) with x - m outside <A> are exactly
+    range(w[r], w[(r - m) % l] + m, l), and these m values are the minima
+    mod m.  Both tables are O(l) and O(m) lists, so l and m are held to the
+    size limit before either is made.
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
-    if gens.elements:
-        check_size("least generator", gens.elements[0])
+    w = _fold(gens)[0] if gens.elements else []
     check_size("m", m)
     if math.gcd(gens.gcd, m) != 1:
         raise NotCofiniteError(
             f"gcd(generators + {{{m}}}) = {math.gcd(gens.gcd, m)} != 1; "
             "some residue class mod m is never reached"
         )
-    w = []
-    if gens.elements:
-        w = [0] + [math.inf] * (gens.elements[0] - 1)
-        for a in gens.elements:
-            extend_minima(w, a)
     if not w or m < w[m % len(w)]:
         raise ValueError(f"m = {m} is not an element of the semigroup")
     least = len(w)
@@ -201,25 +212,14 @@ def apery_set(gens: GeneratorSet, m: int) -> AperyTable:
     return AperyTable(m, tuple(entries))
 
 
-def _residue_table(gens: GeneratorSet) -> AperyTable:
-    """Residue table modulo the least generator; needs gcd 1."""
-    if gens.gcd != 1:
-        raise NotCofiniteError(
-            f"gcd of generators is {gens.gcd}; invariants need gcd 1"
-        )
-    return apery_set(gens, gens.elements[0])
-
-
 def frobenius(gens: GeneratorSet) -> int:
-    """Largest integer outside <A>; -1 when <A> = N (gap-free convention)."""
-    table = _residue_table(gens)
-    return max(table.entries) - table.m
+    """Largest integer outside <A> (-1 when <A> = N), read off ``invariants``."""
+    return invariants(gens).frobenius
 
 
 def genus(gens: GeneratorSet) -> int:
-    """Number of positive integers outside <A>."""
-    table = _residue_table(gens)
-    return sum(e // table.m for e in table.entries)
+    """Number of positive integers outside <A>, read off ``invariants``."""
+    return invariants(gens).genus
 
 
 def minimal_generators(gens: GeneratorSet) -> GeneratorSet:
@@ -236,20 +236,11 @@ class SemigroupInvariants:
 
 
 def invariants(gens: GeneratorSet) -> SemigroupInvariants:
-    """Frobenius number, genus, and minimal generators from one table.
-
-    A generator a is minimal iff it is not x + y with x, y nonzero members;
-    it suffices to test whether a - g is a member for generators g < a,
-    since any nonzero member contains some generator as a summand.
-    """
-    table = _residue_table(gens)
-    m, w = table.m, table.entries
-    minimal = tuple(
-        a
-        for a in gens.elements
-        if not any(g < a and a - g >= w[(a - g) % m] for g in gens.elements)
-    )
-    return table_invariants(w, minimal)
+    """Frobenius number, genus, and minimal generators from one fold
+    modulo the least generator (``_fold``); needs gcd 1."""
+    if gens.gcd != 1:
+        raise NotCofiniteError(f"gcd of generators is {gens.gcd}; invariants need gcd 1")
+    return table_invariants(*_fold(gens))
 
 
 def table_invariants(w: Sequence, minimal: tuple[int, ...]) -> SemigroupInvariants:

@@ -6,6 +6,9 @@ Frobenius numbers the largest zero bit below a Schur bound.  The samplers
 are also checked against per-integer reference loops: one draw, one
 selection test and one stop test per integer, and the walk that sweeps
 read F, g and e off is checked against ``invariants`` of the full draw.
+Since the walk and ``invariants`` both take minimality from the answer of
+``extend_minima``, minimal generators are also checked against the bitset
+definition, and that answer against the brute minima.
 """
 
 import math
@@ -63,6 +66,16 @@ def brute_frobenius(els):
     return gaps.bit_length() - 1
 
 
+def brute_minimal(gens):
+    """Generators a with no generator g < a such that a - g is a member."""
+    bits = membership_table(gens, gens.elements[-1]).bits
+    return tuple(
+        a
+        for a in gens.elements
+        if not any(g < a and (bits >> (a - g)) & 1 for g in gens.elements)
+    )
+
+
 def fold(m, els):
     entries = [0] + [math.inf] * (m - 1)
     for a in els:
@@ -85,11 +98,14 @@ def test_fold_in_any_order_equals_apery_set(els, data):
 @example(12, [8, 9, 10, 30])
 def test_each_fold_matches_brute_minima(m, els):
     # Covers updates with gcd(a mod m, m) > 1 and the inf entries of classes
-    # that stay unreached until the gcd of <m, ...> drops to 1.
+    # that stay unreached until the gcd of <m, ...> drops to 1.  The kernel
+    # answers True exactly when a was not yet a member, by the brute minima.
     entries = [0] + [math.inf] * (m - 1)
+    before = brute_minima(m, [])
     for k, a in enumerate(els):
-        extend_minima(entries, a)
-        assert entries == brute_minima(m, els[: k + 1])
+        assert extend_minima(entries, a) is (a < before[a % m])
+        before = brute_minima(m, els[: k + 1])
+        assert entries == before
 
 
 def test_fold_frozen_example_with_unreached_classes():
@@ -106,7 +122,7 @@ def test_extending_by_a_member_changes_nothing(els, data):
     entries = list(apery_set(gens, m).entries)
     i = data.draw(st.integers(0, m - 1))
     member = entries[i] + m * data.draw(st.integers(0, 5))
-    extend_minima(entries, member)
+    assert extend_minima(entries, member) is False
     assert tuple(entries) == apery_set(gens, m).entries
 
 
@@ -145,6 +161,7 @@ def test_walk_reads_the_invariants_of_the_full_draw(p, M, seed, trial):
     keeps, minimal, minima, _ = walked
     assert keeps == list(gens.elements[: len(keeps)])
     assert table_invariants(minima, tuple(minimal)) == invariants(gens)
+    assert tuple(minimal) == brute_minimal(gens)  # the walk and invariants share one rule
 
 
 def reference_bounded(p, M, seed, trial):
@@ -190,13 +207,7 @@ def test_samplers_match_per_integer_reference_loops(p, seed, trial, M):
 @given(cofinite)
 def test_minimal_generators_match_bitset_definition(els):
     gens = normalize_generators(els)
-    bits = membership_table(gens, gens.elements[-1]).bits
-    expected = tuple(
-        a
-        for a in gens.elements
-        if not any(g < a and (bits >> (a - g)) & 1 for g in gens.elements)
-    )
-    assert minimal_generators(gens).elements == expected
+    assert minimal_generators(gens).elements == brute_minimal(gens)
 
 
 small_cofinite = st.lists(st.integers(1, 30), min_size=1, max_size=5).filter(
