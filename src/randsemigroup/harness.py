@@ -8,7 +8,7 @@ Four instrument groups share this module:
 * growth-rate diagnostics for the scaling guess F ~ (1/p) log2(1/p) and
   e ~ log2(1/p) (``conjecture_fit``; descriptive, makes no pass/fail claim),
 * the staged event pipeline behind the high-probability Frobenius cap
-  (``event_pipeline_trial``, and ``estimate_event_failures``: one walk per trial).
+  (``estimate_event_failures`` runs the one trial, ``event_pipeline_trial``).
 
 Determinism contract: every trial draws from a substream keyed by
 (master_seed, stream tag, trial index); trials run on ``rng.run_trials``
@@ -26,13 +26,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import lru_cache
 from itertools import compress
 from typing import Literal, Optional, Sequence
 
-# WORKERS_ENV_VAR is imported so that harness.WORKERS_ENV_VAR keeps resolving
-from .rng import TAG_EVENTS, TAG_SAMPLE, WORKERS_ENV_VAR, check_size, randbelow
+from .rng import TAG_EVENTS, TAG_SAMPLE, check_size, draw_subset
 from .rng import resolve_workers, run_trials, substream
 from .sampler import check_probability, check_unconstrained_probability, select, walk
 # invariants is imported so that harness.invariants keeps resolving
@@ -106,24 +105,30 @@ def conditional_frobenius_tail(p: float, u: float) -> float:
 
 
 def theoretical_bounds(p: float) -> BoundsRecord:
-    """Evaluate every closed form at one p in (0, 1)."""
+    """Evaluate every closed form at one p in (0, 1); each must be a finite double."""
     check_probability(p)
     shared_lower = (6 - 14 * p + 11 * p**2 - 3 * p**3) / (
         2 * p - 2 * p**3 + p**4
     )
     u = frobenius_whp_cap(p)
-    return BoundsRecord(
-        p=p,
-        embedding_lower=(6 - 8 * p + 3 * p**2) / (2 - 2 * p**2 + p**3),
-        embedding_upper=(2 - p**2) / p,
-        genus_lower=shared_lower,
-        genus_upper=(1 - p) * (2 - p**2) / p**2,
-        frobenius_lower=shared_lower,
-        frobenius_upper=2 * (1 - p) * (2 - p**2) / p**2,
-        prime_window_base=prime_window_base(p),
-        frobenius_whp_cap=u,
-        frobenius_tail_mean_bound=conditional_frobenius_tail(p, u),
-    )
+    try:
+        record = BoundsRecord(
+            p=p,
+            embedding_lower=(6 - 8 * p + 3 * p**2) / (2 - 2 * p**2 + p**3),
+            embedding_upper=(2 - p**2) / p,
+            genus_lower=shared_lower,
+            genus_upper=(1 - p) * (2 - p**2) / p**2,
+            frobenius_lower=shared_lower,
+            frobenius_upper=2 * (1 - p) * (2 - p**2) / p**2,
+            prime_window_base=prime_window_base(p),
+            frobenius_whp_cap=u,
+            frobenius_tail_mean_bound=conditional_frobenius_tail(p, u),
+        )
+        if all(map(math.isfinite, astuple(record))):  # 8/p^4 is inf below p ~ 1.4e-77
+            return record
+    except ArithmeticError:  # p**4 underflows to 0 below p ~ 1e-81
+        pass
+    raise ValueError(f"the closed-form bounds at p = {p} are not all finite doubles")
 
 
 # ---------------------------------------------------------------------------
@@ -211,13 +216,18 @@ def _sweep_trial(
     return inv.frobenius, inv.genus, inv.embedding_dimension, stop, wilf_check(inv).holds
 
 
-def _mean_and_ci(values: Sequence[int]) -> tuple[float, float]:
-    n, total = len(values), sum(values)
+def _mean_and_se(values: Sequence[float]) -> tuple[float, float]:
+    """Mean and standard error sqrt(s^2 / n); the error is 0 for one value."""
+    n = len(values)
+    total = total_sq = 0
+    for v in values:  # not sum(): it compensates float sums from Python 3.12 on
+        total += v
+        total_sq += v * v
     mean = total / n
     if n < 2:
         return mean, 0.0
-    var = (sum(v * v for v in values) - total * total / n) / (n - 1)
-    return mean, _Z95 * math.sqrt(max(0.0, var) / n)
+    var = (total_sq - total * total / n) / (n - 1)
+    return mean, math.sqrt(max(0.0, var) / n)
 
 
 def run_sweep(
@@ -280,19 +290,19 @@ def run_sweep(
             )
             continue
         fs, gs, es, stops, wilf_ok = zip(*kept)
-        mean_f, ci_f = _mean_and_ci(fs)
-        mean_g, ci_g = _mean_and_ci(gs)
-        mean_e, ci_e = _mean_and_ci(es)
+        mean_f, se_f = _mean_and_se(fs)
+        mean_g, se_g = _mean_and_se(gs)
+        mean_e, se_e = _mean_and_se(es)
         rows.append(
             SweepRow(
                 p=p,
                 trials=trials,
                 mean_F=mean_f,
-                ci95_F=ci_f,
+                ci95_F=_Z95 * se_f,
                 mean_g=mean_g,
-                ci95_g=ci_g,
+                ci95_g=_Z95 * se_g,
                 mean_e=mean_e,
-                ci95_e=ci_e,
+                ci95_e=_Z95 * se_e,
                 mean_stop_index=sum(stops) / len(kept) if bound is None else None,
                 wilf_violations=wilf_ok.count(False),
                 excluded_trials=trials - len(kept),
@@ -403,6 +413,8 @@ class EventOutcome:
         the semigroup generated by a uniform ceil(12 log2 q)-subset of the
         selected integers below q together with q (max_apery) is at most
         6 q log2 q.
+    frobenius_within_cap (d3 only, else None): the Frobenius number of the
+        semigroup generated by *all* selected integers is at most u(p).
     """
 
     d1: bool
@@ -411,6 +423,7 @@ class EventOutcome:
     q: Optional[int]
     small_generator_count: int
     max_apery: Optional[int]
+    frobenius_within_cap: Optional[bool] = None
 
 
 @lru_cache(maxsize=None)
@@ -456,44 +469,24 @@ def pipeline_outcome(
     need = math.ceil(12 * math.log2(q))
     if count < need:
         return EventOutcome(True, False, False, q, count, None)
-    # uniform need-subset of the selected integers below q (partial shuffle)
-    pool = list(below)
-    for i in range(need):
-        j = i + randbelow(rng, len(pool) - i)
-        pool[i], pool[j] = pool[j], pool[i]
-    gens = normalize_generators(pool[:need] + [q])
+    # uniform need-subset of the selected integers below q
+    gens = normalize_generators([below[i] for i in draw_subset(rng, count, need)] + [q])
     max_apery = max(apery_set(gens, q).entries)
-    d3 = max_apery <= 6 * q * math.log2(q)
-    return EventOutcome(True, True, d3, q, count, max_apery)
+    if max_apery > 6 * q * math.log2(q):
+        return EventOutcome(True, True, False, q, count, max_apery)
+    within = frobenius(normalize_generators(selected)) <= frobenius_whp_cap(p)
+    return EventOutcome(True, True, True, q, count, max_apery, within)
 
 
-def _selection(p: float, master_seed: int, trial_index: int) -> tuple:
-    """The trial's substream and the integers ``select`` keeps from 1..N.
+def event_pipeline_trial(p: float, master_seed: int, trial_index: int) -> EventOutcome:
+    """Select from 1..N on the trial substream, then stage the selection.
 
     N = ceil(6 f(p)), and exactly N draws are made, so the stream is left
     at draw N + 1, where ``pipeline_outcome`` starts the d3 subset draw.
     """
     _, n_max, _ = _prime_window(p)
     rng = substream(master_seed, TAG_EVENTS, trial_index)
-    return rng, list(select(rng, p, 1, n_max + 1))
-
-
-def event_pipeline_trial(p: float, master_seed: int, trial_index: int) -> EventOutcome:
-    """Sample 1..ceil(6 f(p)) at rate p on the trial substream, then stage."""
-    rng, selected = _selection(p, master_seed, trial_index)
-    return pipeline_outcome(p, selected, rng)
-
-
-def _event_trial(
-    p: float, master_seed: int, trial_index: int
-) -> tuple[EventOutcome, Optional[bool]]:
-    """One pipeline trial, plus (on d3 trials only) whether the Frobenius
-    number of the semigroup generated by all selected integers is <= u(p)."""
-    rng, selected = _selection(p, master_seed, trial_index)
-    outcome = pipeline_outcome(p, selected, rng)
-    if not outcome.d3:
-        return outcome, None
-    return outcome, frobenius(normalize_generators(selected)) <= frobenius_whp_cap(p)
+    return pipeline_outcome(p, list(select(rng, p, 1, n_max + 1)), rng)
 
 
 @dataclass(frozen=True)
@@ -542,28 +535,15 @@ def _small_generator_check(
     """Mean G against mean (q-1)p over the d1 outcomes, in trial order."""
     if not d1:
         return None
-    n_d1 = len(d1)
-    sum_g = 0
-    sum_expected = 0.0
-    sum_d = 0.0
-    sum_d2 = 0.0
-    for outcome in d1:
-        g = outcome.small_generator_count
-        expected = (outcome.q - 1) * p
-        sum_g += g
-        sum_expected += expected
-        d = g - expected
-        sum_d += d
-        sum_d2 += d * d
-    mean_d = sum_d / n_d1
-    var_d = (sum_d2 - sum_d * sum_d / n_d1) / (n_d1 - 1) if n_d1 > 1 else 0.0
-    se = math.sqrt(max(0.0, var_d) / n_d1)
+    counts = [outcome.small_generator_count for outcome in d1]
+    expected = [(outcome.q - 1) * p for outcome in d1]
+    mean_d, se = _mean_and_se([g - e for g, e in zip(counts, expected)])
     return SmallGeneratorReport(
         p=p,
         trials=trials,
-        n_d1=n_d1,
-        mean_count=sum_g / n_d1,
-        mean_expected=sum_expected / n_d1,
+        n_d1=len(d1),
+        mean_count=_mean_and_se(counts)[0],
+        mean_expected=_mean_and_se(expected)[0],
         diff=mean_d,
         se=se,
         within_5se=abs(mean_d) < 5 * se if se > 0 else mean_d == 0,
@@ -579,10 +559,10 @@ def estimate_event_failures(
         raise ValueError("trials must be >= 1")
     check_size("trials", trials)
     _prime_window(p)  # reject an undefined window before any trial runs
-    results = run_trials(_event_trial, [(p, master_seed, t) for t in range(trials)])
-    d1 = [outcome for outcome, _ in results if outcome.d1]
+    results = run_trials(event_pipeline_trial, [(p, master_seed, t) for t in range(trials)])
+    d1 = [outcome for outcome in results if outcome.d1]
     n_d12 = sum(1 for outcome in d1 if outcome.d2)
-    within_cap = [within for outcome, within in results if outcome.d3]
+    within_cap = [outcome.frobenius_within_cap for outcome in results if outcome.d3]
     return EventFailureReport(
         p=p,
         trials=trials,

@@ -14,7 +14,8 @@ Substreams are ``random.Random`` (Mersenne Twister) instances seeded with
 the derived 64-bit value.  Only ``random()`` and ``getrandbits()`` are
 ever consumed; CPython documents both sequences as stable across versions
 and platforms for a fixed seed.  Bounded uniform integers go through
-``randbelow`` (rejection on ``getrandbits``), not ``randrange``.
+``randbelow`` (rejection on ``getrandbits``), not ``randrange``, and every
+uniform k-subset (sumset coverage, the event d3 stage) through ``draw_subset``.
 
 ``run_trials`` is the one trial engine behind sweeps, event estimates and
 sumset coverage; it returns results in trial order for any worker count.
@@ -74,6 +75,19 @@ def randbelow(rng: random.Random, n: int) -> int:
     while r >= n:
         r = rng.getrandbits(k)
     return r
+
+
+def draw_subset(rng: random.Random, n: int, k: int) -> list[int]:
+    """The first k slots of a partial Fisher-Yates shuffle of range(n), in
+    O(k): slot i swaps with slot i + randbelow(rng, n - i), and only the
+    slots a swap has changed are stored.  Part of the stream format."""
+    displaced: dict[int, int] = {}  # the value at each slot a swap has changed
+    drawn = []
+    for i in range(k):
+        j = i + randbelow(rng, n - i)
+        drawn.append(displaced.get(j, j))  # the swap puts slot j's value at slot i
+        displaced[j] = displaced.get(i, i)
+    return drawn
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:

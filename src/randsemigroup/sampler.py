@@ -87,16 +87,15 @@ class ErConfig:
 
 @dataclass(frozen=True)
 class SampleTrace:
-    """Unconstrained sample: generators, stopping point, and draw count.
+    """Unconstrained sample: generators and stopping point.
 
     stop_index is the first integer at which the stopping condition held
     (it was not examined; draws cover 1..stop_index-1), so every generator
-    is < stop_index and uniform_draws_consumed == stop_index - 1.
+    is < stop_index and the sample consumed stop_index - 1 draws.
     """
 
     gens: GeneratorSet
     stop_index: int
-    uniform_draws_consumed: int
 
 
 def sample_bounded(config: ErConfig, trial_index: int) -> GeneratorSet:
@@ -110,7 +109,7 @@ def sample_unconstrained(p: float, master_seed: int, trial_index: int) -> Sample
     """One draw from the unconstrained model; terminates with probability 1."""
     check_unconstrained_probability(p)
     keeps, _, _, stop = walk(substream(master_seed, TAG_SAMPLE, trial_index), p)
-    return SampleTrace(GeneratorSet(tuple(keeps), 1), stop, stop - 1)
+    return SampleTrace(GeneratorSet(tuple(keeps), 1), stop)
 
 
 def walk(rng: random.Random, p: float, M: Optional[int] = None) -> Optional[tuple]:

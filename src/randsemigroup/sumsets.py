@@ -12,10 +12,10 @@ Z_q; the probability that it is not is at most
 
     (2*b*log2(q) + 3) / q^(b-2),
 
-which ``coverage_failure_bound`` evaluates.  Exact subset-sum counts obey,
-for prime q and 1 <= k < q, |{A : |A| = k, sum(A) = z (mod q)}| = C(q,k)/q
-independently of z; ``count_subsets_with_sum`` checks small cases by
-enumeration and exposes the closed form behind an explicit method flag.
+which ``coverage_failure_bound`` evaluates; A comes from ``rng.draw_subset``.
+Exact subset-sum counts obey, for prime q and 1 <= k < q, |{A : |A| = k,
+sum(A) = z (mod q)}| = C(q,k)/q independently of z, which
+``count_subsets_with_sum`` checks on small cases by enumeration.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .rng import TAG_COVERAGE, check_size, randbelow, run_trials, substream
+from .rng import TAG_COVERAGE, check_size, draw_subset, run_trials, substream
 
 # Deterministic Miller-Rabin witnesses, valid for all n < 2^64.
 _MR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
@@ -171,12 +171,12 @@ def k_distinct_sumset(a: CyclicSubset, k: int) -> CyclicSubset:
 _BRUTE_LIMIT = 10**7
 
 
-def count_subsets_with_sum(q: int, k: int, z: int, method: str = "auto") -> int:
+def count_subsets_with_sum(q: int, k: int, z: int) -> int:
     """Number of k-element subsets of Z_q with sum congruent to z mod q.
 
-    method="auto" (the default) enumerates the subsets when C(q, k) <= 10^7
-    and refuses otherwise; method="closed" uses C(q, k) / q, exact for prime
-    q (z plays no role).  Requires q prime and 1 <= k < q.
+    Counts by enumeration, so it checks the closed form C(q, k)/q rather
+    than using it; refuses when C(q, k) > 10^7.  Requires q prime and
+    1 <= k < q.
     """
     if not is_prime(q):
         raise ValueError(f"q = {q} must be prime")
@@ -184,21 +184,21 @@ def count_subsets_with_sum(q: int, k: int, z: int, method: str = "auto") -> int:
         raise ValueError(f"k must satisfy 1 <= k < q, got {k}")
     z %= q
     total = math.comb(q, k)
-    if method == "closed":
-        return total // q
-    if method != "auto":
-        raise ValueError(f"unknown method {method!r}")
     if total > _BRUTE_LIMIT:
         raise ValueError(
             f"C({q},{k}) = {total} subsets is too many to enumerate; "
-            'pass method="closed" for the exact closed form'
+            f"the closed form C(q, k)/q = {total // q} holds for prime q"
         )
     return sum(1 for c in combinations(range(q), k) if sum(c) % q == z)
 
 
 def coverage_failure_bound(q: int, b: float) -> float:
     """(2*b*log2(q) + 3) / q^(b-2); a bound on the non-coverage probability."""
-    return (2 * b * math.log2(q) + 3) / q ** (b - 2)
+    numerator = 2 * b * math.log2(q) + 3
+    try:
+        return numerator / q ** (b - 2)
+    except OverflowError:  # q^(b-2) > the largest double: 0 only below the least one
+        return math.exp(math.log(numerator) - (b - 2) * math.log(q))
 
 
 def _summands(q: int, b: float) -> int:
@@ -218,17 +218,13 @@ def coverage_trial(q: int, b: float, master_seed: int, trial_index: int) -> bool
     """One coverage draw: uniform s-subset A, true iff k*A covers Z_q.
 
     s = 2*ceil(b*log2 q) and k = ceil(b*log2 q) (ceilings throughout).
-    The subset comes from a partial Fisher-Yates shuffle of range(q) on the
-    trial's substream, so each trial is reproducible in isolation.
+    The subset is ``draw_subset(rng, q, s)`` on the trial's substream, so
+    each trial is reproducible in isolation.
     """
     k = _summands(q, b)
-    rng = substream(master_seed, TAG_COVERAGE, trial_index)
-    displaced: dict[int, int] = {}  # pool[j] for each slot a swap has changed
     bits = 0
-    for i in range(2 * k):
-        j = i + randbelow(rng, q - i)
-        bits |= 1 << displaced.get(j, j)  # the swap puts pool[j] at slot i
-        displaced[j] = displaced.get(i, i)
+    for r in draw_subset(substream(master_seed, TAG_COVERAGE, trial_index), q, 2 * k):
+        bits |= 1 << r
     return k_fold_sumset(CyclicSubset(q, bits), k).is_full
 
 

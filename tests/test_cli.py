@@ -105,6 +105,17 @@ def test_sumset_line(capsys):
     assert "theorem_bound=0.42524" in out
 
 
+def test_sumset_bound_past_the_double_range_prints_zero(capsys):
+    # q^(b-2) overflows a double; the bound (far below the least double) prints 0
+    code, out, err = run_cli(
+        capsys, "sumset", "--q", "10007", "--b", "300", "--trials", "1", "--seed", "0"
+    )
+    assert code == 0 and err == ""
+    assert out == (
+        "q=10007 b=300 s=7974 k=3987 trials=1 failures=0 empirical_rate=0 theorem_bound=0\n"
+    )
+
+
 def test_sumset_rejects_composite_modulus(capsys):
     code, out, err = run_cli(
         capsys, "sumset", "--q", "100", "--trials", "1", "--seed", "0"
@@ -297,6 +308,28 @@ def test_bounds_lines(capsys):
     assert lines[4] == f"prime_window_base={rec.prime_window_base:.6g}"
     assert lines[5] == f"frobenius_whp_cap={rec.frobenius_whp_cap:.6g}"
     assert lines[6] == f"frobenius_tail_mean_bound={rec.frobenius_tail_mean_bound:.6g}"
+
+
+@pytest.mark.parametrize("p", ["1e-100", "1e-78"])
+def test_bounds_rejects_p_whose_closed_forms_are_not_finite(capsys, p):
+    # 1e-100: p**4 underflows to 0; 1e-78: the tail bound 8/p^4 overflows to inf
+    code, out, err = run_cli(capsys, "bounds", "--p", p)
+    assert code == 2 and out == ""
+    assert err == f"error: the closed-form bounds at p = {float(p)} are not all finite doubles\n"
+
+
+def test_bounds_at_tiny_finite_p_keep_their_bytes(capsys):
+    code, out, err = run_cli(capsys, "bounds", "--p", "1e-60")
+    assert code == 0 and err == ""
+    assert out == (
+        "p=1e-60\n"
+        "embedding_lower=3 embedding_upper=2e+60\n"
+        "genus_lower=3e+60 genus_upper=2e+120\n"
+        "frobenius_lower=3e+60 frobenius_upper=4e+120\n"
+        "prime_window_base=1.90868e+64\n"
+        "frobenius_whp_cap=1.48502e+68\n"
+        "frobenius_tail_mean_bound=8e+240\n"
+    )
 
 
 def test_internal_invariant_failure_maps_to_exit_3(monkeypatch, capsys):

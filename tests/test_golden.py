@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from randsemigroup.cli import main
-from randsemigroup.harness import WORKERS_ENV_VAR
+from randsemigroup.rng import WORKERS_ENV_VAR
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 

@@ -25,14 +25,14 @@ from randsemigroup import (
 from randsemigroup import harness
 from randsemigroup.harness import (
     SWEEP_CSV_HEADER,
-    WORKERS_ENV_VAR,
     SweepRow,
     _check_pointwise,
     _fmt,
+    _mean_and_se,
     _prime_window,
     resolve_workers,
 )
-from randsemigroup.rng import TAG_EVENTS, substream
+from randsemigroup.rng import TAG_EVENTS, WORKERS_ENV_VAR, substream
 from randsemigroup.sumsets import is_prime
 
 
@@ -62,6 +62,20 @@ def test_bounds_formulas_evaluate_directly():
     assert conditional_frobenius_tail(0.5, 0.0) == 8 / 0.5**4
     with pytest.raises(ValueError):
         theoretical_bounds(0.0)
+
+
+def test_mean_and_standard_error():
+    assert _mean_and_se([7]) == (7.0, 0.0)  # one value: no spread estimate
+    mean, se = _mean_and_se([1, 2, 3, 4])
+    assert mean == 2.5
+    assert abs(se - math.sqrt((5 / 3) / 4)) < 1e-15  # s^2 = 5/3 over n = 4
+    mean, se = _mean_and_se([0.5, -1.5, 2.0])
+    assert abs(mean - 1 / 3) < 1e-15
+    assert abs(se - math.sqrt((37 / 12) / 3)) < 1e-15  # s^2 = (222/36) / 2
+    # summed left to right: 1e16 + 1 rounds back to 1e16 twice, where a
+    # compensated sum (math.fsum) would keep both ones
+    values = [1e16, 1.0, 1.0]
+    assert _mean_and_se(values)[0] == 1e16 / 3 != math.fsum(values) / 3
 
 
 def test_wilson_proportion():
@@ -271,10 +285,11 @@ def test_pipeline_forced_streams():
     assert out.q == 317 and out.small_generator_count == 316
     assert out.max_apery is not None
     assert out.max_apery <= 6 * out.q * math.log2(out.q)
+    assert out.frobenius_within_cap is True  # set on d3 outcomes only
     none = pipeline_outcome(0.1, [], substream(0, 0, 1))
     assert none == pipeline_outcome(0.1, [], substream(0, 0, 2))
     assert not none.d1 and none.q is None and none.max_apery is None
-    assert none.small_generator_count == 0
+    assert none.small_generator_count == 0 and none.frobenius_within_cap is None
 
 
 def test_pipeline_takes_largest_selected_window_prime():
@@ -282,6 +297,7 @@ def test_pipeline_takes_largest_selected_window_prime():
     assert out.d1 and out.q == 61
     assert out.small_generator_count == 1  # only 59 lies below q
     assert not out.d2  # needs ceil(12*log2(61)) = 72 small generators
+    assert out.frobenius_within_cap is None
 
 
 def test_event_trial_determinism_and_nesting():
@@ -297,13 +313,16 @@ def test_event_trial_determinism_and_nesting():
             assert out.small_generator_count == 0 and out.max_apery is None
 
 
-def test_event_selection_draws_the_whole_window_then_stops():
+def test_event_selection_draws_the_whole_window_then_stops(monkeypatch):
     # one draw per integer of 1..N, so the d3 subset draw starts at draw N + 1
     p = 0.05
     _, n_max, _ = _prime_window(p)
     fresh = substream(7, TAG_EVENTS, 2)
     draws = [fresh.random() for _ in range(n_max + 1)]
-    rng, selected = harness._selection(p, 7, 2)
+    seen = []
+    monkeypatch.setattr(harness, "pipeline_outcome", lambda p, sel, rng: seen.append((sel, rng)))
+    event_pipeline_trial(p, 7, 2)
+    (selected, rng), = seen
     assert selected == [n for n in range(1, n_max + 1) if draws[n - 1] < p]
     assert rng.random() == draws[n_max]
 
@@ -364,7 +383,7 @@ def test_event_fold_counts_each_stage(monkeypatch):
         EventOutcome(False, False, False, None, 0, None),
         EventOutcome(True, False, False, 211, 10, None),
         EventOutcome(True, True, False, 223, 40, 10**9),
-        EventOutcome(True, True, True, 227, 41, 1000),
+        EventOutcome(True, True, True, 227, 41, 1000, True),
     ]
     monkeypatch.setenv(WORKERS_ENV_VAR, "1")
     monkeypatch.setattr(harness, "pipeline_outcome", lambda p, sel, rng: staged.pop(0))
@@ -373,9 +392,23 @@ def test_event_fold_counts_each_stage(monkeypatch):
     assert (report.pr_not_d2_given_d1.numerator, report.pr_not_d2_given_d1.denominator) == (1, 3)
     assert (report.pr_not_d3_given_d12.numerator, report.pr_not_d3_given_d12.denominator) == (1, 2)
     assert report.frobenius_within_cap_given_d3.denominator == 1
+    assert report.frobenius_within_cap_given_d3.numerator == 1
     check = report.small_generator_check
     assert check.n_d1 == 3 and check.mean_count == (10 + 40 + 41) / 3
     assert abs(check.mean_expected - (210 + 222 + 226) * 0.1 / 3) < 1e-12
+
+
+def test_within_cap_reads_the_frobenius_number_of_every_selected_integer(monkeypatch):
+    p = 0.12
+    _, n_max, _ = _prime_window(p)
+    selected = list(range(2, n_max + 1))
+    cap = frobenius_whp_cap(p)
+    for frob, within in ((math.floor(cap), True), (math.floor(cap) + 1, False)):
+        seen = []
+        monkeypatch.setattr(harness, "frobenius", lambda gens: seen.append(gens) or frob)
+        out = pipeline_outcome(p, selected, substream(3, 1, 4))
+        assert out.d3 and out.frobenius_within_cap is within
+        assert seen == [harness.normalize_generators(selected)]
 
 
 def test_forced_d3_upper_bounds_full_frobenius():

@@ -184,7 +184,7 @@ def reference_unconstrained(p, seed, trial):
     while True:
         n += 1
         if frob < n:
-            return SampleTrace(GeneratorSet(tuple(selected), 1), n, n - 1)
+            return SampleTrace(GeneratorSet(tuple(selected), 1), n)
         if rng.random() < p:
             selected.append(n)
             if minima:

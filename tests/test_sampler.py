@@ -114,7 +114,6 @@ def test_trace_invariants_across_p():
     for trial, p in enumerate([0.05, 0.1, 0.2, 0.4, 0.7]):
         trace = sample_unconstrained(p, 99, trial)
         assert trace.gens.gcd == 1
-        assert trace.uniform_draws_consumed == trace.stop_index - 1
         assert all(1 <= g < trace.stop_index for g in trace.gens.elements)
         # stopping condition held at stop_index and not earlier
         f = invariants(trace.gens).frobenius

@@ -20,7 +20,7 @@ from randsemigroup import (  # noqa: E402
     k_fold_sumset,
 )
 from randsemigroup import sumsets  # noqa: E402
-from randsemigroup.rng import TAG_COVERAGE, randbelow, substream  # noqa: E402
+from randsemigroup.rng import TAG_COVERAGE, draw_subset, randbelow, substream  # noqa: E402
 
 
 def brute_add(q, xs, ys):
@@ -105,14 +105,27 @@ def test_elements_matches_per_bit_scan(bits):
     assert CyclicSubset(Q_LARGE, bits).elements() == scan
 
 
-def dense_fisher_yates(q, s, master_seed, trial_index):
-    """The first s slots of a partial Fisher-Yates shuffle of list(range(q))."""
-    rng = substream(master_seed, TAG_COVERAGE, trial_index)
-    pool = list(range(q))
-    for i in range(s):
-        j = i + randbelow(rng, q - i)
+def dense_fisher_yates(rng, n, k):
+    """The first k slots of a partial Fisher-Yates shuffle of list(range(n))."""
+    pool = list(range(n))
+    for i in range(k):
+        j = i + randbelow(rng, n - i)
         pool[i], pool[j] = pool[j], pool[i]
-    return pool[:s]
+    return pool[:k]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 300).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
+       st.integers(0, 2**64 - 1))
+@example((1, 1), 0)  # n = 1
+@example((1, 0), 0)
+@example((64, 64), 5)  # k = n: the whole shuffle
+@example((1000, 999), 6)
+def test_draw_subset_equals_dense_shuffle(n_k, seed):
+    n, k = n_k
+    sparse, dense = substream(seed, TAG_COVERAGE, 0), substream(seed, TAG_COVERAGE, 0)
+    assert draw_subset(sparse, n, k) == dense_fisher_yates(dense, n, k)
+    assert sparse.getstate() == dense.getstate()  # the same randbelow calls, in order
 
 
 @settings(max_examples=60, deadline=None)
@@ -134,7 +147,7 @@ def test_coverage_trial_subset_and_outcome(q_b, master_seed, trial_index):
     finally:
         sumsets.k_fold_sumset = original
     (a, k_arg), = calls
-    drawn = dense_fisher_yates(q, 2 * k, master_seed, trial_index)
+    drawn = dense_fisher_yates(substream(master_seed, TAG_COVERAGE, trial_index), q, 2 * k)
     assert k_arg == k
     assert a.elements() == tuple(sorted(drawn))
     if q <= 1009:

@@ -2,6 +2,8 @@
 
 import math
 import random
+import sys
+from decimal import Decimal, localcontext
 from itertools import combinations
 
 import pytest
@@ -155,8 +157,7 @@ def test_count_subsets_frozen_examples():
 def test_count_subsets_methods_agree_and_z_free():
     for q in (5, 7):
         for k in range(1, q):
-            closed = count_subsets_with_sum(q, k, 0, method="closed")
-            assert closed == math.comb(q, k) // q
+            closed = math.comb(q, k) // q
             for z in range(q):
                 assert count_subsets_with_sum(q, k, z) == closed
 
@@ -168,17 +169,42 @@ def test_count_subsets_errors():
         count_subsets_with_sum(7, 0, 0)
     with pytest.raises(ValueError):
         count_subsets_with_sum(7, 7, 0)
-    with pytest.raises(ValueError, match="closed"):
+    with pytest.raises(ValueError, match="closed") as info:
         count_subsets_with_sum(101, 50, 0)  # C(101,50) far beyond enumeration
-    assert count_subsets_with_sum(101, 50, 0, method="closed") == math.comb(101, 50) // 101
-    with pytest.raises(ValueError, match="method"):
-        count_subsets_with_sum(7, 3, 0, method="guess")
+    assert f"C(q, k)/q = {math.comb(101, 50) // 101} " in str(info.value)
 
 
 def test_coverage_failure_bound_values():
     assert abs(coverage_failure_bound(101, 3) - 0.425240) < 1e-5
     assert abs(coverage_failure_bound(10**6 + 3, 4) - 1.6245e-10) / 1.6245e-10 < 1e-3
     assert coverage_failure_bound(101, 2) > 1  # vacuous below b = 3ish
+
+
+def decimal_failure_bound(q, b):
+    """(2*b*log2(q) + 3) / q^(b-2) in 50-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        ln_q, b = Decimal(q).ln(), Decimal(b)
+        return (2 * b * ln_q / Decimal(2).ln() + 3) / ((b - 2) * ln_q).exp()
+
+
+# q^(b-2) leaves the double range at b = 2 + ln(DBL_MAX) / ln(q): about
+# 79.057 for q = 10007 and 155.79 for q = 101.
+@pytest.mark.parametrize(
+    "q, b", [(10007, 79.0), (10007, 79.06), (10007, 79.1), (101, 155.7), (101, 155.9)]
+)
+def test_coverage_failure_bound_on_both_sides_of_the_overflow(q, b):
+    exact = decimal_failure_bound(q, b)
+    assert exact > Decimal(sys.float_info.min)  # a normal double: 15+ digits to compare
+    assert abs(Decimal(coverage_failure_bound(q, b)) / exact - 1) < Decimal("5e-7")
+
+
+def test_coverage_failure_bound_is_zero_only_below_the_least_double():
+    least = Decimal(math.ulp(0.0))  # the least positive (subnormal) double
+    assert decimal_failure_bound(10007, 80.5) > least
+    assert coverage_failure_bound(10007, 80.5) > 0.0
+    assert decimal_failure_bound(10007, 300) < least
+    assert coverage_failure_bound(10007, 300) == 0.0
 
 
 def test_coverage_trial_determinism_and_errors():
