@@ -14,8 +14,9 @@ Determinism contract: every trial draws from a substream keyed by
 (master_seed, stream tag, trial index); trials run on ``rng.run_trials``
 and per-metric tallies are merged in trial order.  Output therefore never
 depends on the worker count, which defaults to all cores (at most
-``rng.MAX_WORKERS``) and can be overridden with the RANDSEMIGROUP_WORKERS
-environment variable or a ``workers=`` argument.
+``rng.MAX_WORKERS``) and is set only by the RANDSEMIGROUP_WORKERS
+environment variable.  Sweeps run trial-major: one engine job is one trial
+index at every p, since every p reads that trial's one stream.
 
 Proportions carry Wilson score intervals; conditional proportions with an
 empty conditioning set are reported as absent (None / empty CSV field),
@@ -31,8 +32,7 @@ from functools import lru_cache
 from itertools import compress
 from typing import Literal, Optional, Sequence
 
-from .rng import TAG_EVENTS, TAG_SAMPLE, check_size, draw_subset
-from .rng import resolve_workers, run_trials, substream
+from .rng import TAG_EVENTS, TAG_SAMPLE, check_size, draw_subset, run_trials, substream
 from .sampler import check_probability, check_unconstrained_probability, select, walk
 # invariants is imported so that harness.invariants keeps resolving
 from .semigroup import (
@@ -99,9 +99,15 @@ def polylog_frobenius_cap(p: float, scale: float) -> float:
 
 
 def conditional_frobenius_tail(p: float, u: float) -> float:
-    """Upper bound for E[F | F >= u]: 8/p^4 + 4u/p^2 + u^2."""
+    """Upper bound for E[F | F >= u]: 8/p^4 + 4u/p^2 + u^2, a finite double."""
     check_probability(p)
-    return 8.0 / p**4 + 4.0 * u / p**2 + u**2
+    try:
+        bound = 8.0 / p**4 + 4.0 * u / p**2 + u**2
+        if math.isfinite(bound):  # 8/p^4 is inf below p ~ 1.4e-77
+            return bound
+    except ArithmeticError:  # p**4 underflows to 0 below p ~ 1e-81
+        pass
+    raise ValueError(f"the Frobenius tail bound at p = {p}, u = {u} is not a finite double")
 
 
 def theoretical_bounds(p: float) -> BoundsRecord:
@@ -124,9 +130,9 @@ def theoretical_bounds(p: float) -> BoundsRecord:
             frobenius_whp_cap=u,
             frobenius_tail_mean_bound=conditional_frobenius_tail(p, u),
         )
-        if all(map(math.isfinite, astuple(record))):  # 8/p^4 is inf below p ~ 1.4e-77
+        if all(map(math.isfinite, astuple(record))):
             return record
-    except ArithmeticError:  # p**4 underflows to 0 below p ~ 1e-81
+    except (ArithmeticError, ValueError):  # an underflowed divisor, or a non-finite tail bound
         pass
     raise ValueError(f"the closed-form bounds at p = {p} are not all finite doubles")
 
@@ -204,7 +210,7 @@ def _check_pointwise(inv: SemigroupInvariants) -> None:
         )
 
 
-def _sweep_trial(
+def _sweep_cell(
     p: float, bound: Optional[int], master_seed: int, trial_index: int
 ) -> Optional[tuple]:
     walked = walk(substream(master_seed, TAG_SAMPLE, trial_index), p, bound)
@@ -214,6 +220,26 @@ def _sweep_trial(
     inv = table_invariants(minima, tuple(minimal))
     _check_pointwise(inv)
     return inv.frobenius, inv.genus, inv.embedding_dimension, stop, wilf_check(inv).holds
+
+
+def _sweep_trial(cells: Sequence[tuple], master_seed: int, trial_index: int) -> list:
+    """Trial ``trial_index`` at every (p, bound) cell, in cell order."""
+    return [_sweep_cell(p, bound, master_seed, trial_index) for p, bound in cells]
+
+
+def _check_coupling(cells: Sequence[tuple], rows: Sequence[list]) -> None:
+    # n is kept iff u_n < p on one shared stream, so within a trial the
+    # semigroup at a larger p contains the one at a smaller p, and F and g
+    # cannot rise with p (e can).  Cells run in descending p; excluded
+    # draws are skipped, since containment also holds across them.
+    for t, row in enumerate(rows):
+        kept = [(p, r) for (p, _), r in zip(cells, row) if r is not None]
+        for (p_hi, hi), (p_lo, lo) in zip(kept, kept[1:]):
+            if hi[0] > lo[0] or hi[1] > lo[1]:
+                raise InternalInvariantError(
+                    f"coupling violation in trial {t}: (F, g) = {hi[:2]} at p = {p_hi} "
+                    f"but {lo[:2]} at p = {p_lo}"
+                )
 
 
 def _mean_and_se(values: Sequence[float]) -> tuple[float, float]:
@@ -235,7 +261,6 @@ def run_sweep(
     trials: int,
     master_seed: int,
     M: int | None | Literal["auto"] = None,
-    workers: Optional[int] = None,
 ) -> list[SweepRow]:
     """One SweepRow per p, processed and returned in descending p order.
 
@@ -249,13 +274,13 @@ def run_sweep(
     Before any trial runs, p_list must be nonempty and every p and its
     per-p size are checked: the bound M, or the unconstrained walk span
     ceil(64/p), must not exceed the size limit (``rng.check_size``), nor
-    may the job count, trials times the number of distinct p.
-    Every trial at every p runs in one ``run_trials`` call; per-metric
-    tallies are exact integer sums folded in trial order, so results are
-    identical for every worker count.
+    may the result count, trials times the number of distinct p.
+    Every trial runs in one ``run_trials`` call, trial-major (one job is
+    one trial index at every p); per-metric tallies are exact integer sums
+    folded in trial order, so results are identical for every worker count.
+    Unless M is "auto", whose M changes with p, F and g must not rise with
+    p within a trial (``_check_coupling``), or InternalInvariantError.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     if not p_list:
         raise ValueError("p_list must hold at least one p")
     if M is not None and M != "auto" and M < 1:
@@ -269,21 +294,19 @@ def run_sweep(
             check_size(f"M = ceil(50/p) at p = {p}" if M == "auto" else "M", bound)
         cells.append((p, bound))
     check_size("trials x distinct p", trials * len(cells))
-    workers = resolve_workers(workers)
+    results = run_trials(_sweep_trial, trials, cells, master_seed)
+    if M != "auto":
+        _check_coupling(cells, results)
 
-    for p, bound in cells:
+    rows = []
+    for i, (p, bound) in enumerate(cells):
         if bound is not None and bound < 10 / p:
             warnings.warn(
                 f"M = {bound} is below 10/p = {10 / p:.0f} at p = {p}; "
                 "bounded-model means will be badly truncated",
                 stacklevel=2,
             )
-    jobs = [(p, bound, master_seed, t) for p, bound in cells for t in range(trials)]
-    results = run_trials(_sweep_trial, jobs, workers)
-
-    rows = []
-    for i, (p, bound) in enumerate(cells):
-        kept = [r for r in results[i * trials : (i + 1) * trials] if r is not None]
+        kept = [row[i] for row in results if row[i] is not None]
         if not kept:
             rows.append(
                 SweepRow(p, trials, None, None, None, None, None, None, None, 0, trials)
@@ -555,11 +578,8 @@ def estimate_event_failures(
 ) -> EventFailureReport:
     """Monte Carlo stage-failure estimates with Wilson intervals, and the
     small-generator check, from one walk over the trials."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    check_size("trials", trials)
     _prime_window(p)  # reject an undefined window before any trial runs
-    results = run_trials(event_pipeline_trial, [(p, master_seed, t) for t in range(trials)])
+    results = run_trials(event_pipeline_trial, trials, p, master_seed)
     d1 = [outcome for outcome in results if outcome.d1]
     n_d12 = sum(1 for outcome in d1 if outcome.d2)
     within_cap = [outcome.frobenius_within_cap for outcome in results if outcome.d3]

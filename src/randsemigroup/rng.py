@@ -17,12 +17,13 @@ and platforms for a fixed seed.  Bounded uniform integers go through
 ``randbelow`` (rejection on ``getrandbits``), not ``randrange``, and every
 uniform k-subset (sumset coverage, the event d3 stage) through ``draw_subset``.
 
-``run_trials`` is the one trial engine behind sweeps, event estimates and
-sumset coverage; it returns results in trial order for any worker count.
-``check_size`` is the one size limit: every list, sieve or walk whose
-length an input sets is checked against ``MAX_SIZE`` before it is made.
-Likewise ``resolve_workers`` holds the worker count to ``MAX_WORKERS``
-before any pool starts, since a forking pool starts all its workers at once.
+``run_trials(fn, trials, *head)`` is the one trial engine and the one check
+of a trial count; it returns ``fn(*head, t)`` in trial order t for any worker
+count.  ``check_size`` is the one size limit: every list, sieve or walk whose
+length an input sets is checked against ``MAX_SIZE`` before it is made.  Only
+RANDSEMIGROUP_WORKERS sets the worker count, and ``resolve_workers`` holds it
+to ``MAX_WORKERS`` before any pool starts, since a forking pool starts all
+its workers at once.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from __future__ import annotations
 import os
 import random
 from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Optional, Sequence
+from functools import partial
+from typing import Callable
 
 _MASK64 = (1 << 64) - 1
 
@@ -90,15 +92,14 @@ def draw_subset(rng: random.Random, n: int, k: int) -> list[int]:
     return drawn
 
 
-def resolve_workers(workers: Optional[int] = None) -> int:
-    """Explicit argument, else RANDSEMIGROUP_WORKERS, else all cores (at
-    most MAX_WORKERS); a setting outside 1..MAX_WORKERS is rejected."""
-    if workers is None:
-        env = os.environ.get(WORKERS_ENV_VAR)
-        try:
-            workers = int(env) if env else min(os.cpu_count() or 1, MAX_WORKERS)
-        except ValueError:
-            raise ValueError(f"{WORKERS_ENV_VAR} must be an integer, got {env!r}") from None
+def resolve_workers() -> int:
+    """RANDSEMIGROUP_WORKERS, else all cores (at most MAX_WORKERS); a
+    setting outside 1..MAX_WORKERS is rejected."""
+    env = os.environ.get(WORKERS_ENV_VAR)
+    try:
+        workers = int(env) if env else min(os.cpu_count() or 1, MAX_WORKERS)
+    except ValueError:
+        raise ValueError(f"{WORKERS_ENV_VAR} must be an integer, got {env!r}") from None
     if not 1 <= workers <= MAX_WORKERS:
         raise ValueError(f"worker count must lie in 1..{MAX_WORKERS}, got {workers}")
     return workers
@@ -110,17 +111,21 @@ def check_size(what: str, n: int) -> None:
         raise ValueError(f"{what} is {n}, above the size limit 2^24 = {MAX_SIZE}")
 
 
-def run_trials(fn: Callable, args: Sequence[tuple], workers: Optional[int] = None) -> list:
-    """``[fn(*a) for a in args]`` in trial order, on one pool per call.
+def run_trials(fn: Callable, trials: int, *head) -> list:
+    """``[fn(*head, t) for t in range(trials)]`` in trial order, on one pool per call.
 
-    Runs in this process when one worker (or one trial) is all there is to
-    use; otherwise ``fn`` must be picklable by import path, and one process
-    pool of ``min(workers, len(args))`` workers maps it over ``args``.
+    Refuses trials < 1 or > MAX_SIZE before any trial runs.  Runs in this
+    process when one worker (or one trial) is all there is to use; otherwise
+    ``fn`` must be picklable by import path, and one process pool of
+    ``min(workers, trials)`` workers maps it over the trial indices.
     """
-    workers = resolve_workers(workers)
-    size = min(workers, len(args))
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    check_size("trials", trials)
+    workers = resolve_workers()
+    size = min(workers, trials)
     if size <= 1:
-        return [fn(*a) for a in args]
-    chunk = max(1, len(args) // (workers * 8))
+        return [fn(*head, t) for t in range(trials)]
+    chunk = max(1, trials // (workers * 8))
     with ProcessPoolExecutor(max_workers=size) as pool:
-        return list(pool.map(fn, *zip(*args), chunksize=chunk))
+        return list(pool.map(partial(fn, *head), range(trials), chunksize=chunk))

@@ -249,11 +249,8 @@ def run_coverage_experiment(
     q: int, b: float, trials: int, master_seed: int
 ) -> CoverageExperiment:
     """Coverage trials run by ``run_trials``; failures counts non-covering draws."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    check_size("trials", trials)
     k = _summands(q, b)
-    covered = run_trials(coverage_trial, [(q, b, master_seed, t) for t in range(trials)])
+    covered = run_trials(coverage_trial, trials, q, b, master_seed)
     failures = covered.count(False)
     return CoverageExperiment(
         q, b, 2 * k, k, trials, failures, coverage_failure_bound(q, b)

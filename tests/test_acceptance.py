@@ -10,6 +10,8 @@ import random
 import time
 from math import comb
 
+import pytest
+
 from randsemigroup import (
     CyclicSubset,
     ErConfig,
@@ -34,7 +36,7 @@ from randsemigroup import (
     theoretical_bounds,
 )
 from randsemigroup.harness import _prime_window
-from randsemigroup.rng import substream
+from randsemigroup.rng import WORKERS_ENV_VAR, substream
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -131,10 +133,11 @@ def test_04_coverage_experiments():
     )
 
 
-def test_05_expectation_bracketing():
+def test_05_expectation_bracketing(monkeypatch):
     t0 = time.perf_counter()
     trials = 10_000
-    rows = run_sweep([0.5, 0.3], trials, 5005, M="auto", workers=1)
+    monkeypatch.setenv(WORKERS_ENV_VAR, "1")
+    rows = run_sweep([0.5, 0.3], trials, 5005, M="auto")
     details = []
     ok = True
     for row in rows:
@@ -258,10 +261,15 @@ def _fold_identity_holds() -> bool:
 
 
 def _worker_independence_holds() -> bool:
-    u1 = run_sweep([0.3], 60, 23, workers=1)
-    u2 = run_sweep([0.3], 60, 23, workers=2)
-    b1 = run_sweep([0.25], 60, 24, M=60, workers=1)
-    b2 = run_sweep([0.25], 60, 24, M=60, workers=3)
+    def at(workers, *args, **kwargs):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv(WORKERS_ENV_VAR, str(workers))
+            return run_sweep(*args, **kwargs)
+
+    u1 = at(1, [0.3], 60, 23)
+    u2 = at(2, [0.3], 60, 23)
+    b1 = at(1, [0.25], 60, 24, M=60)
+    b2 = at(3, [0.25], 60, 24, M=60)
     return u1 == u2 and b1 == b2
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from randsemigroup import (
     harness,
+    rng,
     run_sweep,
     sample_unconstrained,
     sampler,
@@ -189,12 +190,12 @@ def test_sumset_rejects_oversized_modulus(capsys):
         ),
         (
             ["events", "--p", "0.3", "--trials", "1000000000", "--seed", "0"],
-            [(harness, "run_trials")],
+            [(harness, "event_pipeline_trial"), (rng, "ProcessPoolExecutor")],
             "trials is 1000000000",
         ),
         (
             ["sumset", "--q", "101", "--b", "1", "--trials", "1000000000", "--seed", "0"],
-            [(sumsets, "run_trials")],
+            [(sumsets, "coverage_trial"), (rng, "ProcessPoolExecutor")],
             "trials is 1000000000",
         ),
     ],
@@ -209,6 +210,37 @@ def test_oversized_input_fails_before_any_work(capsys, monkeypatch, argv, work, 
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err == f"error: {message}, {SIZE_LIMIT}"
+
+
+@pytest.mark.filterwarnings("error")  # M = 2 < 10/p must not warn before the refusal
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--p-list", "0.4", "--trials", "0", "--seed", "0"],
+        ["sweep", "--M", "2", "--p-list", "0.01", "--trials", "0", "--seed", "0"],
+        ["events", "--p", "0.2", "--trials", "0", "--seed", "0"],
+        ["sumset", "--q", "101", "--b", "3", "--trials", "0", "--seed", "0"],
+    ],
+    ids=["sweep", "sweep-M-truncated", "events", "sumset"],
+)
+def test_zero_trials_exit_2_with_one_error_line(capsys, monkeypatch, argv):
+    monkeypatch.setattr(rng, "ProcessPoolExecutor", _no_work)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: trials must be >= 1\n"
+
+
+def test_sweep_coupling_violation_exits_3(capsys, monkeypatch):
+    # trial 0's F falls from 9 to 7 as p falls from 0.4 to 0.2
+    monkeypatch.setattr(
+        harness, "run_trials", lambda fn, trials, *head: [[(9, 5, 2, 10, True), (7, 5, 2, 9, True)]]
+    )
+    code, out, err = run_cli(capsys, "sweep", "--p-list", "0.4,0.2", "--trials", "1", "--seed", "0")
+    assert code == 3 and out == ""
+    assert err == (
+        "internal invariant violation: coupling violation in trial 0: "
+        "(F, g) = (9, 5) at p = 0.4 but (7, 5) at p = 0.2\n"
+    )
 
 
 def test_sweep_stdout_matches_library(capsys):

@@ -32,15 +32,36 @@ class FakeExecutor:
 def test_pool_has_one_process_per_job_at_most(monkeypatch):
     monkeypatch.setattr(FakeExecutor, "sizes", [])
     monkeypatch.setattr(rng, "ProcessPoolExecutor", FakeExecutor)
-    assert run_trials(pow, [(2, 3), (3, 2), (5, 1)], workers=64) == [8, 9, 5]
+    monkeypatch.setenv(WORKERS_ENV_VAR, "64")
+    assert run_trials(pow, 3, 2) == [1, 2, 4]  # fn(*head, t) for t in 0, 1, 2
     assert FakeExecutor.sizes == [3]
+    monkeypatch.setenv(WORKERS_ENV_VAR, "2")
+    assert run_trials(pow, 3, 2) == [1, 2, 4]
+    assert FakeExecutor.sizes == [3, 2]
 
 
 def test_one_worker_runs_in_process(monkeypatch):
     monkeypatch.setattr(FakeExecutor, "sizes", [])
     monkeypatch.setattr(rng, "ProcessPoolExecutor", FakeExecutor)
-    assert run_trials(pow, [(2, 3), (3, 2)], workers=1) == [8, 9]
+    monkeypatch.setenv(WORKERS_ENV_VAR, "1")
+    assert run_trials(pow, 3, 2) == [1, 2, 4]
+    monkeypatch.setenv(WORKERS_ENV_VAR, "64")
+    assert run_trials(pow, 1, 2) == [1]  # one trial: no pool either
     assert FakeExecutor.sizes == []
+
+
+@pytest.mark.parametrize("trials", [0, -1, MAX_SIZE + 1])
+def test_engine_refuses_a_bad_trial_count_before_any_pool(trials, monkeypatch):
+    monkeypatch.setattr(rng, "ProcessPoolExecutor", NoPool)
+    monkeypatch.setenv(WORKERS_ENV_VAR, "2")
+    calls = []
+    with pytest.raises(ValueError) as info:
+        run_trials(lambda t: calls.append(t), trials)
+    assert calls == []
+    assert str(info.value) == (
+        "trials must be >= 1" if trials < 1
+        else "trials is 16777217, above the size limit 2^24 = 16777216"
+    )
 
 
 @pytest.mark.parametrize(
@@ -67,24 +88,24 @@ class NoPool:
 
 def test_worker_ceiling_accepts_max_workers_and_no_more(monkeypatch):
     assert 64 <= MAX_WORKERS == 256
-    assert resolve_workers(MAX_WORKERS) == MAX_WORKERS
-    with pytest.raises(ValueError) as info:
-        resolve_workers(MAX_WORKERS + 1)
-    assert str(info.value) == "worker count must lie in 1..256, got 257"
+    monkeypatch.setenv(WORKERS_ENV_VAR, str(MAX_WORKERS))
+    assert resolve_workers() == MAX_WORKERS
     monkeypatch.setenv(WORKERS_ENV_VAR, "257")
-    with pytest.raises(ValueError, match=r"^worker count must lie in 1\.\.256, got 257$"):
+    with pytest.raises(ValueError) as info:
         resolve_workers()
+    assert str(info.value) == "worker count must lie in 1..256, got 257"
     monkeypatch.delenv(WORKERS_ENV_VAR)
     monkeypatch.setattr(rng.os, "cpu_count", lambda: 1000)
     assert resolve_workers() == MAX_WORKERS  # the default is all cores, up to the ceiling
 
 
-def test_worker_ceiling_holds_for_the_workers_argument(monkeypatch):
+def test_worker_ceiling_holds_for_the_engine_and_the_sweep(monkeypatch):
     monkeypatch.setattr(rng, "ProcessPoolExecutor", NoPool)
+    monkeypatch.setenv(WORKERS_ENV_VAR, "100000")
     with pytest.raises(ValueError, match="got 100000"):
-        run_trials(pow, [(2, 3), (3, 2)], workers=100000)
+        run_trials(pow, 2, 2)
     with pytest.raises(ValueError, match="got 100000"):
-        run_sweep([0.5], 3, 0, workers=100000)
+        run_sweep([0.5], 3, 0)
 
 
 @pytest.mark.parametrize(

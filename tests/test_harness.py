@@ -30,9 +30,8 @@ from randsemigroup.harness import (
     _fmt,
     _mean_and_se,
     _prime_window,
-    resolve_workers,
 )
-from randsemigroup.rng import TAG_EVENTS, WORKERS_ENV_VAR, substream
+from randsemigroup.rng import TAG_EVENTS, WORKERS_ENV_VAR, resolve_workers, substream
 from randsemigroup.sumsets import is_prime
 
 
@@ -64,6 +63,19 @@ def test_bounds_formulas_evaluate_directly():
         theoretical_bounds(0.0)
 
 
+@pytest.mark.parametrize("p, u", [(1e-100, 0.0), (1e-78, 0.0), (0.5, 1e200)])
+def test_conditional_frobenius_tail_refuses_a_bound_that_is_not_a_finite_double(p, u):
+    # 1e-100: p**4 underflows to 0; 1e-78: 8/p^4 overflows to inf; u = 1e200: u**2 overflows
+    with pytest.raises(ValueError) as info:
+        conditional_frobenius_tail(p, u)
+    assert str(info.value) == f"the Frobenius tail bound at p = {p}, u = {u} is not a finite double"
+
+
+def test_conditional_frobenius_tail_keeps_its_finite_values():
+    assert conditional_frobenius_tail(0.5, 0.0) == 128.0
+    assert conditional_frobenius_tail(1e-60, 0.0) == 8.0 / 1e-60**4
+
+
 def test_mean_and_standard_error():
     assert _mean_and_se([7]) == (7.0, 0.0)  # one value: no spread estimate
     mean, se = _mean_and_se([1, 2, 3, 4])
@@ -90,45 +102,52 @@ def test_wilson_proportion():
         wilson_proportion(0, 0)
 
 
+def run_sweep_at(workers, *args, **kwargs):
+    """run_sweep with RANDSEMIGROUP_WORKERS set to ``workers`` for the call."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv(WORKERS_ENV_VAR, str(workers))
+        return run_sweep(*args, **kwargs)
+
+
 def test_sweep_determinism_and_input_order():
-    a = run_sweep([0.2, 0.4], 30, 17, workers=1)
-    b = run_sweep([0.4, 0.2], 30, 17, workers=1)
+    a = run_sweep_at(1, [0.2, 0.4], 30, 17)
+    b = run_sweep_at(1, [0.4, 0.2], 30, 17)
     assert a == b
     assert [r.p for r in a] == [0.4, 0.2]  # descending
-    single = run_sweep([0.3], 1, 5, workers=1)
-    assert single == run_sweep([0.3], 1, 5, workers=1)
+    single = run_sweep_at(1, [0.3], 1, 5)
+    assert single == run_sweep_at(1, [0.3], 1, 5)
     assert single[0].ci95_F == 0.0  # one trial: no spread estimate
 
 
 def test_sweep_worker_count_does_not_change_output():
-    one = run_sweep([0.3], 48, 23, workers=1)
-    two = run_sweep([0.3], 48, 23, workers=2)
+    one = run_sweep_at(1, [0.3], 48, 23)
+    two = run_sweep_at(2, [0.3], 48, 23)
     assert one == two
-    b_one = run_sweep([0.25], 40, 29, M=40, workers=1)
-    b_two = run_sweep([0.25], 40, 29, M=40, workers=3)
+    b_one = run_sweep_at(1, [0.25], 40, 29, M=40)
+    b_two = run_sweep_at(3, [0.25], 40, 29, M=40)
     assert b_one == b_two
 
 
 @pytest.mark.parametrize("M", [None, "auto"])
 def test_multi_p_sweep_worker_count_does_not_change_output(M):
-    # one pool serves every p, so chunks of the flattened jobs cross p boundaries
-    one = run_sweep([0.2, 0.1, 0.05], 40, 37, M=M, workers=1)
-    assert one == run_sweep([0.2, 0.1, 0.05], 40, 37, M=M, workers=2)
+    # one pool serves every p; a job is one trial index at every p
+    one = run_sweep_at(1, [0.2, 0.1, 0.05], 40, 37, M=M)
+    assert one == run_sweep_at(2, [0.2, 0.1, 0.05], 40, 37, M=M)
 
 
 def test_resolve_workers(monkeypatch):
-    assert resolve_workers(2) == 2
     monkeypatch.setenv("RANDSEMIGROUP_WORKERS", "3")
     assert resolve_workers() == 3
     monkeypatch.delenv("RANDSEMIGROUP_WORKERS")
     assert resolve_workers() >= 1
+    monkeypatch.setenv("RANDSEMIGROUP_WORKERS", "0")
     with pytest.raises(ValueError):
-        resolve_workers(0)
+        resolve_workers()
 
 
 def test_bounded_sweep_exclusions_and_warning():
     with pytest.warns(UserWarning, match="below 10/p"):
-        rows = run_sweep([0.01], 5, 0, M=2, workers=1)
+        rows = run_sweep_at(1, [0.01], 5, 0, M=2)
     row = rows[0]
     assert row.excluded_trials == 5  # every draw had gcd != 1 (or was empty)
     assert row.mean_F is None and row.mean_stop_index is None
@@ -137,7 +156,7 @@ def test_bounded_sweep_exclusions_and_warning():
 
 def test_bounded_sweep_counts_partial_exclusions():
     with pytest.warns(UserWarning):
-        rows = run_sweep([0.05], 300, 11, M=4, workers=1)
+        rows = run_sweep_at(1, [0.05], 300, 11, M=4)
     row = rows[0]
     assert 0 < row.excluded_trials < 300
     assert row.mean_F is not None
@@ -155,8 +174,56 @@ def test_sweep_job_count_is_trials_times_distinct_p(monkeypatch):
     )
 
 
+def forge_rows(monkeypatch, *rows):
+    """Make run_sweep's engine call return ``rows``, one per trial, each cell
+    (F, g, e, stop, wilf holds) or None, in descending p."""
+
+    def forged(fn, trials, *head):
+        assert fn is harness._sweep_trial and trials == len(rows)
+        return [list(row) for row in rows]
+
+    monkeypatch.setattr(harness, "run_trials", forged)
+
+
+@pytest.mark.parametrize("M", [None, 60])
+def test_coupling_audit_accepts_F_and_g_falling_with_p_and_any_e(monkeypatch, M):
+    # e rises as p rises (2 at p = 0.3, 4 at 0.4): e is never audited
+    forge_rows(
+        monkeypatch,
+        [(5, 3, 4, 6, True), (5, 3, 2, 6, True), (9, 6, 3, 10, True)],
+        [(3, 2, 2, 4, True), None, (8, 5, 2, 9, True)],
+    )
+    rows = run_sweep([0.2, 0.3, 0.4], 2, 0, M=M)
+    assert [r.mean_F for r in rows] == [4.0, 5.0, 8.5]  # each cell reads its own column
+    assert [r.mean_e for r in rows] == [3.0, 2.0, 2.5]
+    assert [r.excluded_trials for r in rows] == [0, 1, 0]
+
+
+@pytest.mark.parametrize("M", [None, 60])
+@pytest.mark.parametrize(
+    "rises",
+    [
+        [(9, 5, 2, 10, True), (7, 5, 2, 8, True), (11, 6, 2, 12, True)],  # F
+        [(7, 6, 2, 10, True), (7, 5, 2, 8, True), (11, 6, 2, 12, True)],  # g
+        [(9, 5, 2, 10, True), None, (8, 6, 2, 12, True)],  # F, across an exclusion
+    ],
+    ids=["F", "g", "F-past-excluded"],
+)
+def test_coupling_audit_rejects_F_or_g_rising_with_p(monkeypatch, M, rises):
+    forge_rows(monkeypatch, [(3, 2, 2, 4, True), (5, 3, 2, 6, True), (8, 5, 2, 9, True)], rises)
+    with pytest.raises(InternalInvariantError, match="^coupling violation in trial 1: "):
+        run_sweep([0.4, 0.3, 0.2], 2, 0, M=M)
+
+
+def test_coupling_audit_skips_auto_M_sweeps(monkeypatch):
+    # M = ceil(50/p) changes with p, so the semigroups need not nest
+    forge_rows(monkeypatch, [(9, 6, 2, 10, True), (7, 5, 2, 8, True)])
+    rows = run_sweep([0.4, 0.2], 1, 0, M="auto")
+    assert [r.mean_F for r in rows] == [9.0, 7.0]
+
+
 def test_sweep_csv_format():
-    rows = run_sweep([0.4, 0.2], 25, 31, M=60, workers=1)
+    rows = run_sweep_at(1, [0.4, 0.2], 25, 31, M=60)
     text = sweep_csv(rows, 31, "bounded(M=60)")
     lines = text.splitlines()
     assert lines[0].startswith("# ") and lines[1].startswith("# ")
@@ -167,7 +234,7 @@ def test_sweep_csv_format():
     assert first[8] == ""  # bounded mode: stop index undefined -> empty field
     assert text == sweep_csv(rows, 31, "bounded(M=60)")
     # unconstrained rows fill the stop column
-    u_rows = run_sweep([0.3], 10, 7, workers=1)
+    u_rows = run_sweep_at(1, [0.3], 10, 7)
     u_line = sweep_csv(u_rows, 7, "unconstrained").splitlines()[3]
     assert u_line.split(",")[8] != ""
 
