@@ -3,8 +3,9 @@
 Each file under tests/golden/ holds the exact stdout of one CLI invocation,
 recorded once and never rewritten to make a test pass.  Rerun equality alone
 would not notice a change in how the random streams are consumed; these
-bytes do.  The events run reaches stage d3 on one of its three trials, and
-the partial sumset run fails to cover Z_q on 31 of its 40 trials.  The runs
+bytes do.  The d3 events run reaches stage d3 on one of its three trials;
+the absent events run reaches no stage, so its three conditionals print as
+absent.  The partial sumset run fails to cover Z_q on 31 of its 40 trials.  The runs
 that go through the trial engine (sweeps, events, sumsets) are also checked
 at two workers, where their trials run on a process pool.
 """
@@ -25,9 +26,11 @@ GOLDEN = {
     "sweep_unconstrained.csv": ["sweep", "--p-list", "0.1,0.05,0.02", "--trials", "20", "--seed", "11"],
     "sweep_auto.csv": ["sweep", "--M", "auto", "--p-list", "0.3,0.1", "--trials", "40", "--seed", "5"],
     "events_d3.txt": ["events", "--p", "0.005", "--trials", "3", "--seed", "0"],
+    "events_absent.txt": ["events", "--p", "0.3", "--trials", "2", "--seed", "182"],
     "sumset.txt": ["sumset", "--q", "101", "--b", "3", "--trials", "20", "--seed", "7"],
     "sumset_partial.txt": ["sumset", "--q", "101", "--b", "0.6", "--trials", "40", "--seed", "7"],
     "invariants.txt": ["invariants", "--gens", "6,9,20"],
+    "bounds.txt": ["bounds", "--p", "0.01"],
 }
 
 
