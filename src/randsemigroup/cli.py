@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from typing import Optional, Sequence
 
 from . import harness, sampler, semigroup, sumsets
+from .harness import _fmt
 
 
 def _probability(text: str) -> float:
@@ -52,16 +54,12 @@ def _fmt_gens(gens: semigroup.GeneratorSet) -> str:
     return "[" + ",".join(str(g) for g in gens.elements) + "]"
 
 
-def _fmt_float(x: float) -> str:
-    return f"{x:.6g}"
-
-
 def _fmt_proportion(name: str, prop: Optional[harness.Proportion]) -> str:
     if prop is None:
         return f"{name}=absent"
     return (
-        f"{name}={_fmt_float(prop.fraction)} "
-        f"ci95=[{_fmt_float(prop.ci_low)},{_fmt_float(prop.ci_high)}] "
+        f"{name}={_fmt(prop.fraction)} "
+        f"ci95=[{_fmt(prop.ci_low)},{_fmt(prop.ci_high)}] "
         f"n={prop.denominator}"
     )
 
@@ -93,10 +91,10 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 def _cmd_sumset(args: argparse.Namespace) -> int:
     exp = sumsets.run_coverage_experiment(args.q, args.b, args.trials, args.seed)
     print(
-        f"q={exp.q} b={_fmt_float(exp.b)} s={exp.s} k={exp.k} "
+        f"q={exp.q} b={_fmt(exp.b)} s={exp.s} k={exp.k} "
         f"trials={exp.trials} failures={exp.failures} "
-        f"empirical_rate={_fmt_float(exp.empirical_rate)} "
-        f"theorem_bound={_fmt_float(exp.bound)}"
+        f"empirical_rate={_fmt(exp.empirical_rate)} "
+        f"theorem_bound={_fmt(exp.bound)}"
     )
     return 0
 
@@ -115,23 +113,22 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_events(args: argparse.Namespace) -> int:
     report = harness.estimate_event_failures(args.p, args.trials, args.seed)
-    print(f"p={_fmt_float(report.p)} trials={report.trials}")
-    print(_fmt_proportion("pr_not_d1", report.pr_not_d1))
-    print(_fmt_proportion("pr_not_d2_given_d1", report.pr_not_d2_given_d1))
-    print(_fmt_proportion("pr_not_d3_given_d12", report.pr_not_d3_given_d12))
-    print(
-        _fmt_proportion(
-            "frobenius_within_cap_given_d3", report.frobenius_within_cap_given_d3
-        )
-    )
+    print(f"p={_fmt(report.p)} trials={report.trials}")
+    for name in (
+        "pr_not_d1",
+        "pr_not_d2_given_d1",
+        "pr_not_d3_given_d12",
+        "frobenius_within_cap_given_d3",
+    ):
+        print(_fmt_proportion(name, getattr(report, name)))
     check = report.small_generator_check
     if check is None:
         print("small_generator_check=absent")
     else:
         print(
-            f"small_generator_check: mean_count={_fmt_float(check.mean_count)} "
-            f"mean_expected={_fmt_float(check.mean_expected)} "
-            f"diff={_fmt_float(check.diff)} se={_fmt_float(check.se)} "
+            f"small_generator_check: mean_count={_fmt(check.mean_count)} "
+            f"mean_expected={_fmt(check.mean_expected)} "
+            f"diff={_fmt(check.diff)} se={_fmt(check.se)} "
             f"within_5se={'yes' if check.within_5se else 'NO'} n_d1={check.n_d1}"
         )
     return 0
@@ -139,22 +136,8 @@ def _cmd_events(args: argparse.Namespace) -> int:
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     rec = harness.theoretical_bounds(args.p)
-    print(f"p={_fmt_float(rec.p)}")
-    print(
-        f"embedding_lower={_fmt_float(rec.embedding_lower)} "
-        f"embedding_upper={_fmt_float(rec.embedding_upper)}"
-    )
-    print(
-        f"genus_lower={_fmt_float(rec.genus_lower)} "
-        f"genus_upper={_fmt_float(rec.genus_upper)}"
-    )
-    print(
-        f"frobenius_lower={_fmt_float(rec.frobenius_lower)} "
-        f"frobenius_upper={_fmt_float(rec.frobenius_upper)}"
-    )
-    print(f"prime_window_base={_fmt_float(rec.prime_window_base)}")
-    print(f"frobenius_whp_cap={_fmt_float(rec.frobenius_whp_cap)}")
-    print(f"frobenius_tail_mean_bound={_fmt_float(rec.frobenius_tail_mean_bound)}")
+    for name, value in asdict(rec).items():  # a *_lower field shares the next one's line
+        print(f"{name}={_fmt(value)}", end=" " if name.endswith("_lower") else "\n")
     return 0
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields
 from functools import lru_cache
 from itertools import compress
 from typing import Literal, Optional, Sequence
@@ -334,13 +334,13 @@ def run_sweep(
     return rows
 
 
-SWEEP_CSV_HEADER = (
-    "p,trials,mean_F,ci95_F,mean_g,ci95_g,mean_e,ci95_e,"
-    "mean_stop_index,wilf_violations,excluded_trials"
-)
+SWEEP_CSV_HEADER = ",".join(field.name for field in fields(SweepRow))
 
 
 def _fmt(x: float | int | None) -> str:
+    """Render one output number: ints as they are, floats to 6 significant
+    digits, None (not defined) as the empty string.  Every number the CSV
+    and the CLI print goes through here."""
     if x is None:
         return ""
     if isinstance(x, int):
@@ -349,7 +349,8 @@ def _fmt(x: float | int | None) -> str:
 
 
 def sweep_csv(rows: Sequence[SweepRow], master_seed: int, mode: str) -> str:
-    """Render rows (descending p) as CSV; floats carry 6 significant digits.
+    """Render rows (descending p) as CSV, one column per ``SweepRow`` field
+    in declaration order; floats carry 6 significant digits.
 
     Comment lines hold only deterministic metadata, so rerunning a sweep
     with the same seed reproduces the file byte for byte.
@@ -360,24 +361,7 @@ def sweep_csv(rows: Sequence[SweepRow], master_seed: int, mode: str) -> str:
         "# means with 95% normal-approximation half-widths; empty field = not defined",
         SWEEP_CSV_HEADER,
     ]
-    for r in ordered:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(r.p),
-                    str(r.trials),
-                    _fmt(r.mean_F),
-                    _fmt(r.ci95_F),
-                    _fmt(r.mean_g),
-                    _fmt(r.ci95_g),
-                    _fmt(r.mean_e),
-                    _fmt(r.ci95_e),
-                    _fmt(r.mean_stop_index),
-                    str(r.wilf_violations),
-                    str(r.excluded_trials),
-                ]
-            )
-        )
+    lines.extend(",".join(map(_fmt, astuple(r))) for r in ordered)
     return "\n".join(lines) + "\n"
 
 
