@@ -17,7 +17,6 @@ from .harness import (
     event_pipeline_trial,
     frobenius_whp_cap,
     pipeline_outcome,
-    polylog_frobenius_cap,
     prime_window_base,
     run_sweep,
     sweep_csv,

@@ -104,8 +104,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     rows = harness.run_sweep(args.p_list, args.trials, args.seed, M=args.M)
     text = harness.sweep_csv(rows, args.seed, mode)
     if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w") as handle:
+                handle.write(text)
+        except OSError as exc:  # a bad --out path is bad input, not a broken build
+            raise ValueError(f"cannot write --out {args.out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
     return 0

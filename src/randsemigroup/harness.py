@@ -92,12 +92,6 @@ def frobenius_whp_cap(p: float) -> float:
     return 36.0 * f * math.log2(6.0 * f)
 
 
-def polylog_frobenius_cap(p: float, scale: float) -> float:
-    """The same cap in its generic form: scale * (1/p) * ln(1/p)^3."""
-    check_probability(p)
-    return scale * (1.0 / p) * math.log(1.0 / p) ** 3
-
-
 def conditional_frobenius_tail(p: float, u: float) -> float:
     """Upper bound for E[F | F >= u]: 8/p^4 + 4u/p^2 + u^2, a finite double."""
     check_probability(p)

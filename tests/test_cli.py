@@ -262,6 +262,19 @@ def test_sweep_out_file(tmp_path, capsys):
     assert path.read_text() == sweep_csv(run_sweep([0.3], 8, 4), 4, "unconstrained")
 
 
+@pytest.mark.parametrize("target", ["missing/rows.csv", "."], ids=["no-such-dir", "a-directory"])
+def test_sweep_unwritable_out_exits_2_with_one_error_line(tmp_path, capsys, target):
+    path = tmp_path / target
+    code, out, err = run_cli(
+        capsys,
+        "sweep", "--p-list", "0.5", "--M", "60", "--trials", "3", "--seed", "0",
+        "--out", str(path),
+    )
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write --out {path}: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_sweep_bounded_modes(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -15,7 +15,6 @@ from randsemigroup import (
     event_pipeline_trial,
     frobenius_whp_cap,
     pipeline_outcome,
-    polylog_frobenius_cap,
     prime_window_base,
     run_sweep,
     sweep_csv,
@@ -57,7 +56,6 @@ def test_bounds_formulas_evaluate_directly():
         assert abs(rec.frobenius_whp_cap - 36 * f * math.log2(6 * f)) < 1e-6
         u = rec.frobenius_whp_cap
         assert rec.frobenius_tail_mean_bound == 8 / p**4 + 4 * u / p**2 + u**2
-    assert abs(polylog_frobenius_cap(0.1, 2.0) - 2.0 * 10 * math.log(10) ** 3) < 1e-9
     assert conditional_frobenius_tail(0.5, 0.0) == 8 / 0.5**4
     with pytest.raises(ValueError):
         theoretical_bounds(0.0)

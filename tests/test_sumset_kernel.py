@@ -1,8 +1,5 @@
-"""Property tests of the Z_q sumset kernel against set-based brute oracles.
-
-The oracles add residues one pair at a time in Python sets and never touch a
-bit-packed shift, so they share no code with the kernel under test.
-"""
+"""Property tests of the Z_q sumset kernel against the set-based brute
+oracles in ``oracles.py``, which share no code with the kernel under test."""
 
 import math
 from itertools import combinations
@@ -22,16 +19,7 @@ from randsemigroup import (  # noqa: E402
 from randsemigroup import sumsets  # noqa: E402
 from randsemigroup.rng import TAG_COVERAGE, draw_subset, randbelow, substream  # noqa: E402
 
-
-def brute_add(q, xs, ys):
-    return {(x + y) % q for x in xs for y in ys}
-
-
-def brute_k_fold(q, xs, k):
-    acc = set(xs)
-    for _ in range(k - 1):
-        acc = brute_add(q, acc, xs)
-    return acc
+from oracles import brute_add, brute_k_fold  # noqa: E402
 
 
 def subset(q, els):

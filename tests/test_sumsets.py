@@ -20,16 +20,7 @@ from randsemigroup import (
     run_coverage_experiment,
 )
 
-
-def brute_add(q, xs, ys):
-    return {(a + b) % q for a in xs for b in ys}
-
-
-def brute_k_fold(q, xs, k):
-    acc = set(xs)
-    for _ in range(k - 1):
-        acc = brute_add(q, acc, xs)
-    return acc
+from oracles import brute_add, brute_k_fold
 
 
 def trial_division_prime(n):
