@@ -333,7 +333,7 @@ SWEEP_CSV_HEADER = ",".join(field.name for field in fields(SweepRow))
 
 def _fmt(x: float | int | None) -> str:
     """Render one output number: ints as they are, floats to 6 significant
-    digits, None (not defined) as the empty string.  Every number the CSV
+    digits, None (not defined) as the empty string.  Every float the CSV
     and the CLI print goes through here."""
     if x is None:
         return ""
