@@ -5,9 +5,9 @@ recorded once and never rewritten to make a test pass.  Rerun equality alone
 would not notice a change in how the random streams are consumed; these
 bytes do.  The d3 events run reaches stage d3 on one of its three trials;
 the absent events run reaches no stage, so its three conditionals print as
-absent.  The partial sumset run fails to cover Z_q on 31 of its 40 trials.  The runs
-that go through the trial engine (sweeps, events, sumsets) are also checked
-at two workers, where their trials run on a process pool.
+absent.  The partial sumset run fails to cover Z_q on 31 of its 40 trials.
+The runs that go through the trial engine (sweeps, events, sumsets) are also
+checked at two workers, where their trials run on a process pool.
 """
 
 from pathlib import Path
